@@ -66,8 +66,7 @@ pub enum ConfigError {
     },
     /// A runtime sizing knob is zero.
     ZeroRuntimeKnob {
-        /// Which knob: `"workers"`, `"par_threads"`, `"max_batch"`,
-        /// `"spawn_threshold"`, or
+        /// Which knob: `"workers"`, `"par_threads"`, `"max_batch"`, or
         /// `"queue_capacity"`.
         knob: &'static str,
     },
@@ -142,10 +141,6 @@ pub struct ArchConfig {
     pub max_batch: usize,
     /// Bound of the serving request queue (admission control).
     pub queue_capacity: usize,
-    /// Minimum estimated scalar ops a fan-out must carry before the
-    /// compute pool dispatches it to workers; smaller jobs run inline on
-    /// the caller (cost-aware granularity).
-    pub spawn_threshold: u64,
 }
 
 impl ArchConfig {
@@ -163,7 +158,6 @@ impl ArchConfig {
             par_threads: 1,
             max_batch: 8,
             queue_capacity: 256,
-            spawn_threshold: 32_768,
         }
     }
 
@@ -202,12 +196,6 @@ impl ArchConfig {
     pub fn with_batching(mut self, max_batch: usize, queue_capacity: usize) -> Self {
         self.max_batch = max_batch;
         self.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Replaces the compute pool's inline-vs-dispatch cost threshold.
-    pub fn with_spawn_threshold(mut self, spawn_threshold: u64) -> Self {
-        self.spawn_threshold = spawn_threshold;
         self
     }
 
@@ -273,11 +261,6 @@ impl ArchConfig {
                 return Err(ConfigError::ZeroRuntimeKnob { knob });
             }
         }
-        if self.spawn_threshold == 0 {
-            return Err(ConfigError::ZeroRuntimeKnob {
-                knob: "spawn_threshold",
-            });
-        }
         Ok(())
     }
 
@@ -306,7 +289,7 @@ impl ArchConfig {
     /// usable as a bench-entry name or telemetry label.
     pub fn label(&self) -> String {
         format!(
-            "p{}of{}_s{}x{}_w{}_m{}x{}_k{}_w{}t{}b{}c{}",
+            "p{}of{}_s{}x{}_w{}_m{}x{}_k{}_w{}t{}b{}",
             self.pattern.n(),
             self.pattern.m(),
             self.sram.rows,
@@ -318,7 +301,6 @@ impl ArchConfig {
             self.workers,
             self.par_threads,
             self.max_batch,
-            self.spawn_threshold,
         )
     }
 }
@@ -333,7 +315,7 @@ impl fmt::Display for ArchConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} sparse, sram {}x{}@{}b, mram {}x{} pairs@{}b, {}, {} workers x {} pool threads, batch {} / queue {}, spawn >= {} ops",
+            "{} sparse, sram {}x{}@{}b, mram {}x{} pairs@{}b, {}, {} workers x {} pool threads, batch {} / queue {}",
             self.pattern,
             self.sram.rows,
             self.sram.column_groups,
@@ -346,7 +328,6 @@ impl fmt::Display for ArchConfig {
             self.par_threads,
             self.max_batch,
             self.queue_capacity,
-            self.spawn_threshold,
         )
     }
 }
@@ -437,13 +418,6 @@ mod tests {
             cfg.validate(),
             Err(ConfigError::ZeroRuntimeKnob {
                 knob: "queue_capacity"
-            })
-        );
-        let cfg = ArchConfig::dac24().with_spawn_threshold(0);
-        assert_eq!(
-            cfg.validate(),
-            Err(ConfigError::ZeroRuntimeKnob {
-                knob: "spawn_threshold"
             })
         );
     }

@@ -245,34 +245,16 @@ fn bench(c: &mut Criterion) {
     });
     let direct_conv_ns = measure_ns_best(4, 15, || compiled.conv3_stage_forward(&feat).0);
     let predict_ns = measure_ns_best(4, 10, || compiled.predict(&mut model, &images).0);
-    // The scaling sweep keeps each pool around so its scheduler counters
-    // (steals, splits, parks) can be read back after the timed runs.
     let predict_par = |threads: usize| {
         let mut model_par = model.clone();
         let mut par = compiled.clone();
-        let pool = std::sync::Arc::new(WorkPool::new(threads));
-        par.attach_pool(std::sync::Arc::clone(&pool));
-        let ns = measure_ns_best(4, 10, || par.predict(&mut model_par, &images).0);
-        (ns, pool.counters())
+        par.attach_pool(std::sync::Arc::new(WorkPool::new(threads)));
+        measure_ns_best(4, 10, || par.predict(&mut model_par, &images).0)
     };
-    let (predict_par1_ns, _) = predict_par(1);
-    let (predict_par2_ns, _) = predict_par(2);
-    let (predict_par4_ns, par4_counters) = predict_par(4);
-    let (predict_par8_ns, _) = predict_par(8);
-    // Cost-aware granularity on a genuinely 2-wide pool (forced past the
-    // core clamp so 1-core CI still dispatches): an eager threshold spawns
-    // every fan-out; the shipped cost model keeps sub-threshold jobs
-    // inline and skips the synchronization bill.
-    let predict_threshold_ns = |ops: u64| {
-        let mut model_thr = model.clone();
-        let mut thr = compiled.clone();
-        thr.attach_pool(std::sync::Arc::new(
-            WorkPool::with_forced_threads(2).with_spawn_threshold(ops),
-        ));
-        measure_ns_best(4, 10, || thr.predict(&mut model_thr, &images).0)
-    };
-    let eager_ns = predict_threshold_ns(1);
-    let costed_ns = predict_threshold_ns(pim_par::DEFAULT_SPAWN_THRESHOLD);
+    let predict_par1_ns = predict_par(1);
+    let predict_par2_ns = predict_par(2);
+    let predict_par4_ns = predict_par(4);
+    let predict_par8_ns = predict_par(8);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1) as f64;
@@ -289,8 +271,6 @@ fn bench(c: &mut Criterion) {
         BenchRecord::new("pe_repnet_predict_batch8_par2", predict_par2_ns),
         BenchRecord::new("pe_repnet_predict_batch8_par4", predict_par4_ns),
         BenchRecord::new("pe_repnet_predict_batch8_par8", predict_par8_ns),
-        BenchRecord::new("pe_repnet_predict_batch8_2t_eager", eager_ns),
-        BenchRecord::new("pe_repnet_predict_batch8_2t_costed", costed_ns),
     ];
     let derived = [
         // Bit-plane popcount kernel vs the flat gather on the same dense
@@ -298,9 +278,6 @@ fn bench(c: &mut Criterion) {
         // target regime; the bench-gate enforces >= 1.0 here.
         ("packed_vs_flat_speedup", flat_ternary_ns / packed_batch_ns),
         ("direct_conv3_batch8_us", direct_conv_ns / 1e3),
-        // Cost-model payoff on a forced 2-wide pool: eager dispatch of
-        // every fan-out vs inlining jobs below the tuned threshold.
-        ("granularity_costed_vs_eager_speedup", eager_ns / costed_ns),
         // Compiled flat kernel vs the bit-serial reference walk of the
         // same masked tile — the per-matvec speedup of the decoupling.
         ("flat_vs_bit_serial_speedup", bit_serial_ns / flat_single_ns),
@@ -332,14 +309,6 @@ fn bench(c: &mut Criterion) {
         (
             "par_efficiency_8t",
             (predict_ns / predict_par8_ns) / 8f64.min(cores),
-        ),
-        // Deque steals per dispatched job on the 4-wide sweep pool: how
-        // much cross-worker traffic the work-stealing scheduler needed to
-        // balance the predict fan-outs (0.0 on a 1-core host, where the
-        // clamped pool never dispatches).
-        (
-            "steal_ratio_4t",
-            par4_counters.steals as f64 / par4_counters.jobs.max(1) as f64,
         ),
         ("par_available_cores", cores),
     ];

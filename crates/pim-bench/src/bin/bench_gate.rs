@@ -278,13 +278,7 @@ fn validate_tuned_text(text: &str) -> Result<(), String> {
         ));
     }
     let runtime = doc.get("runtime").ok_or("missing 'runtime' object")?;
-    for knob in [
-        "workers",
-        "par_threads",
-        "max_batch",
-        "queue_capacity",
-        "spawn_threshold",
-    ] {
+    for knob in ["workers", "par_threads", "max_batch", "queue_capacity"] {
         let v = runtime
             .usize_at(knob)
             .ok_or_else(|| format!("'runtime.{knob}' is missing or not a whole number"))?;
@@ -507,13 +501,21 @@ mod tests {
     "config": {"workers": 4},
     "metrics": {"edp": 1.5}
   },
-  "runtime": {"workers": 4, "par_threads": 1, "max_batch": 8, "queue_capacity": 256, "spawn_threshold": 32768},
+  "runtime": {"workers": 4, "par_threads": 1, "max_batch": 8, "queue_capacity": 256},
   "frontier": [{"label": "p", "edp": 1.5}]
 }"#;
 
     #[test]
     fn accepts_a_well_formed_tuned_doc() {
         assert_eq!(validate_tuned_text(GOOD), Ok(()));
+    }
+
+    #[test]
+    fn accepts_a_legacy_tuned_doc_with_the_pool_threshold_knob() {
+        // Committed before the compute pool lost its spawn threshold; the
+        // extra key in `config` and `runtime` must not fail the gate.
+        let legacy = include_str!("../../../../testdata/tuned_legacy_knob.json");
+        assert_eq!(validate_tuned_text(legacy), Ok(()));
     }
 
     #[test]
@@ -528,8 +530,10 @@ mod tests {
             ),
             ("[{\"label\": \"p\", \"edp\": 1.5}]", "[]"),
             ("\"config\": {\"workers\": 4}", "\"config\": {}"),
-            ("\"spawn_threshold\": 32768", "\"spawn_threshold\": 0"),
-            (", \"spawn_threshold\": 32768", ""),
+            ("\"par_threads\": 1", "\"par_threads\": 0"),
+            ("\"max_batch\": 8", "\"max_batch\": 0"),
+            ("\"queue_capacity\": 256}", "\"queue_capacity\": 0}"),
+            (", \"queue_capacity\": 256}", "}"),
         ] {
             let broken = GOOD.replace(from, to);
             assert_ne!(broken, GOOD, "replacement {from:?} must apply");

@@ -72,7 +72,7 @@ pub(crate) struct Scratch {
     /// (`tiles + 1` entries) — lets parallel tile tasks write disjointly.
     tile_off: Vec<usize>,
     /// Per-executor `reduction`-sized gather rows for the direct-conv
-    /// fan-out: tasks run on whichever executor steals them, so the row
+    /// fan-out: tasks run on whichever executor claims them, so the row
     /// staging is keyed by executor slot instead of being reallocated
     /// inside every chunk closure.
     row_bufs: ScratchArena<Vec<f32>>,
@@ -247,8 +247,7 @@ impl PeLayer {
             let weight_scale = self.weight_scale;
             let x_q = SharedSliceMut::new(&mut self.scratch.x_q);
             let scales = SharedSliceMut::new(&mut self.scratch.scales);
-            let est = (batch * reduction) as u64;
-            pool.for_each_chunk_costed(batch, par_block(batch, pool.threads()), est, |rows| {
+            pool.for_each_chunk(batch, par_block(batch, pool.threads()), |rows| {
                 // SAFETY: chunk row ranges are disjoint, so the x_q and
                 // scales regions they map to are disjoint too.
                 let (q, sc) = unsafe {
@@ -294,8 +293,7 @@ impl PeLayer {
             let tile_off = &*tile_off;
             let acc_view = SharedSliceMut::new(acc);
             let out_view = SharedSliceMut::new(out);
-            let est = tiles.iter().map(|t| t.nnz).sum::<u64>() * batch as u64;
-            pool.run_costed(tiles.len() * n_blocks, est, |t| {
+            pool.run(tiles.len() * n_blocks, |t| {
                 let (ti, blk) = (t / n_blocks, t % n_blocks);
                 let tile = &tiles[ti];
                 let tc = tile.col_end - tile.col_start;
@@ -451,8 +449,7 @@ impl PeLayer {
             let x_q = SharedSliceMut::new(&mut self.scratch.x_q);
             let scales = SharedSliceMut::new(&mut self.scratch.scales);
             let row_bufs = &self.scratch.row_bufs;
-            let est = (rows * reduction) as u64;
-            pool.for_each_chunk_costed(rows, par_block(rows, pool.threads()), est, |range| {
+            pool.for_each_chunk(rows, par_block(rows, pool.threads()), |range| {
                 // SAFETY: chunk row ranges are disjoint, so the x_q and
                 // scales regions they map to are disjoint too.
                 let (q, sc) = unsafe {
@@ -505,8 +502,7 @@ impl PeLayer {
             let tile_off = &*tile_off;
             let acc_view = SharedSliceMut::new(acc);
             let out_view = SharedSliceMut::new(out);
-            let est = tiles.iter().map(|t| t.nnz).sum::<u64>() * rows as u64;
-            pool.run_costed(tiles.len() * n_blocks, est, |t| {
+            pool.run(tiles.len() * n_blocks, |t| {
                 let (ti, blk) = (t / n_blocks, t % n_blocks);
                 let tile = &tiles[ti];
                 let tc = tile.col_end - tile.col_start;
@@ -1457,9 +1453,9 @@ pub(crate) mod tests {
     #[test]
     fn direct_conv_matches_the_im2col_oracle_bitwise() {
         // Strides/paddings that exercise zero-padded borders, and both a
-        // serial pool and a forced 4-wide pool with an eager threshold.
+        // serial pool and a forced 4-wide pool.
         for (stride, padding, threads) in [(1, 1, 1), (2, 1, 4), (1, 0, 4)] {
-            let pool = WorkPool::with_forced_threads(threads).with_spawn_threshold(1);
+            let pool = WorkPool::with_forced_threads(threads);
             let mut direct = conv_layer(3, 8, 3, stride, padding, NmPattern::one_of_four(), 7);
             let mut oracle = direct.clone();
             let x = probe_input(2, 3, 8, 8, 11);
@@ -1479,21 +1475,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn spawn_threshold_does_not_change_conv_results() {
-        let eager = WorkPool::with_forced_threads(3).with_spawn_threshold(1);
-        let lazy = WorkPool::with_forced_threads(3).with_spawn_threshold(u64::MAX);
+    fn pool_width_does_not_change_conv_results() {
+        let serial = WorkPool::serial();
+        let wide = WorkPool::with_forced_threads(3);
         let mut a = conv_layer(2, 6, 3, 1, 1, NmPattern::two_of_four(), 3);
         let mut b = a.clone();
         let x = probe_input(3, 2, 6, 6, 5);
         let mut stats_a = PeRunStats::new();
         let mut stats_b = PeRunStats::new();
-        let out_a = a.conv_forward(&x, &mut stats_a, &eager);
-        let out_b = b.conv_forward(&x, &mut stats_b, &lazy);
+        let out_a = a.conv_forward(&x, &mut stats_a, &serial);
+        let out_b = b.conv_forward(&x, &mut stats_b, &wide);
         assert_eq!(tensor_bits(&out_a), tensor_bits(&out_b));
-        assert_eq!(
-            stats_a, stats_b,
-            "granularity choice never leaks into ledgers"
-        );
+        assert_eq!(stats_a, stats_b, "chunking never leaks into ledgers");
     }
 
     proptest! {
@@ -1520,7 +1513,7 @@ pub(crate) mod tests {
             threads in prop_oneof![Just(1usize), Just(4usize)],
             seed in 0usize..64,
         ) {
-            let pool = WorkPool::with_forced_threads(threads).with_spawn_threshold(1);
+            let pool = WorkPool::with_forced_threads(threads);
             let mut direct = conv_layer(cin, cout, k, stride, padding, pattern, seed);
             let mut oracle = direct.clone();
             let x = probe_input(n, cin, hw, hw, seed + 1);

@@ -378,7 +378,7 @@ mod tests {
         let x = probe_input(2, 3, 7, 7, 9);
         for groups in [2, 3] {
             for threads in [1, 4] {
-                let pool = WorkPool::with_forced_threads(threads).with_spawn_threshold(1);
+                let pool = WorkPool::with_forced_threads(threads);
                 let layer = conv_layer(3, 8, 3, 1, 1, NmPattern::one_of_four(), 13);
                 let mut oracle = layer.clone();
                 let mut sharded = ShardedLayer::split(&layer, groups);

@@ -24,17 +24,13 @@ pub struct SweepSpace {
     pub parallelism: Vec<(usize, usize)>,
     /// Batcher rider caps.
     pub max_batches: Vec<usize>,
-    /// Compute-pool inline-vs-dispatch cost thresholds (estimated scalar
-    /// ops). List the preferred default first: analytic objectives don't
-    /// see this knob, so EDP ties break toward the head of the list.
-    pub spawn_thresholds: Vec<u64>,
 }
 
 impl SweepSpace {
-    /// A bounded neighbourhood of the paper's design point — 24 grid
-    /// points (≤ 32, small enough for a CI smoke sweep): three sparsity
-    /// patterns, two weight precisions, two serving splits around the
-    /// shipped defaults, and two pool-granularity thresholds.
+    /// A bounded neighbourhood of the paper's design point — 12 grid
+    /// points (small enough for a CI smoke sweep): three sparsity
+    /// patterns, two weight precisions, and two serving splits around the
+    /// shipped defaults.
     pub fn dac24_neighborhood() -> Self {
         Self {
             patterns: vec![
@@ -46,7 +42,6 @@ impl SweepSpace {
             weight_bits: vec![8, 4],
             parallelism: vec![(4, 1), (2, 2)],
             max_batches: vec![8],
-            spawn_thresholds: vec![32_768, 4_096],
         }
     }
 
@@ -58,7 +53,6 @@ impl SweepSpace {
             weight_bits: vec![8],
             parallelism: vec![(4, 1)],
             max_batches: vec![8],
-            spawn_thresholds: vec![32_768],
         }
     }
 
@@ -69,7 +63,6 @@ impl SweepSpace {
             * self.weight_bits.len()
             * self.parallelism.len()
             * self.max_batches.len()
-            * self.spawn_thresholds.len()
     }
 
     /// Enumerates the grid through the [`ArchConfig::validate`] gate:
@@ -83,18 +76,15 @@ impl SweepSpace {
                 for &bits in &self.weight_bits {
                     for &(workers, par_threads) in &self.parallelism {
                         for &max_batch in &self.max_batches {
-                            for &spawn_threshold in &self.spawn_thresholds {
-                                let cfg = ArchConfig::dac24()
-                                    .with_pattern(pattern)
-                                    .with_sram_tile(rows, groups)
-                                    .with_weight_bits(bits)
-                                    .with_parallelism(workers, par_threads)
-                                    .with_batching(max_batch, 256)
-                                    .with_spawn_threshold(spawn_threshold);
-                                match cfg.validated() {
-                                    Ok(cfg) => valid.push(cfg),
-                                    Err(_) => invalid += 1,
-                                }
+                            let cfg = ArchConfig::dac24()
+                                .with_pattern(pattern)
+                                .with_sram_tile(rows, groups)
+                                .with_weight_bits(bits)
+                                .with_parallelism(workers, par_threads)
+                                .with_batching(max_batch, 256);
+                            match cfg.validated() {
+                                Ok(cfg) => valid.push(cfg),
+                                Err(_) => invalid += 1,
                             }
                         }
                     }

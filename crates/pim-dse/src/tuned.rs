@@ -70,7 +70,6 @@ impl TunedDoc {
             par_threads: cfg.par_threads,
             max_batch: cfg.max_batch,
             queue_capacity: cfg.queue_capacity,
-            spawn_threshold: cfg.spawn_threshold,
         }
     }
 
@@ -106,11 +105,10 @@ impl TunedDoc {
         let rt = self.runtime_defaults();
         w.begin_obj();
         for (k, v) in [
-            ("workers", rt.workers as u64),
-            ("par_threads", rt.par_threads as u64),
-            ("max_batch", rt.max_batch as u64),
-            ("spawn_threshold", rt.spawn_threshold),
-            ("queue_capacity", rt.queue_capacity as u64),
+            ("workers", rt.workers),
+            ("par_threads", rt.par_threads),
+            ("max_batch", rt.max_batch),
+            ("queue_capacity", rt.queue_capacity),
         ] {
             w.key(k);
             w.num(v as f64, 0);
@@ -256,7 +254,6 @@ fn render_config(w: &mut JsonWriter, cfg: &ArchConfig) {
         ("par_threads", cfg.par_threads),
         ("max_batch", cfg.max_batch),
         ("queue_capacity", cfg.queue_capacity),
-        ("spawn_threshold", cfg.spawn_threshold as usize),
     ] {
         w.key(k);
         w.num(v as f64, 0);
@@ -293,12 +290,9 @@ fn parse_config(v: &JsonValue) -> Option<ArchConfig> {
     cfg.workers = v.usize_at("workers")?;
     cfg.par_threads = v.usize_at("par_threads")?;
     cfg.max_batch = v.usize_at("max_batch")?;
+    // Documents from before the pool lost its spawn-threshold knob still
+    // carry that key; like any unknown key it is ignored.
     cfg.queue_capacity = v.usize_at("queue_capacity")?;
-    // Documents written before the granularity sweep carry no
-    // spawn_threshold; they keep the dac24 default.
-    if let Some(t) = v.usize_at("spawn_threshold") {
-        cfg.spawn_threshold = t as u64;
-    }
     cfg.validated().ok()
 }
 
@@ -369,23 +363,30 @@ mod tests {
         assert_eq!(rt.par_threads, 2);
         assert_eq!(rt.max_batch, 8);
         assert_eq!(rt.queue_capacity, 256);
-        assert_eq!(rt.spawn_threshold, 32_768);
         assert_eq!(doc.to_arch_config(), doc.best.config);
     }
 
     #[test]
-    fn legacy_documents_without_spawn_threshold_keep_the_default() {
-        // Documents written before the granularity sweep lack the key
-        // everywhere; parse must fall back to the dac24 threshold.
-        let text: String = sample_doc()
-            .render()
-            .lines()
-            .filter(|l| !l.contains("spawn_threshold"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let parsed = TunedDoc::parse(&text).expect("legacy document parses");
-        assert_eq!(parsed.best.config.spawn_threshold, 32_768);
-        assert_eq!(parsed.runtime_defaults().spawn_threshold, 32_768);
+    fn legacy_documents_with_the_pool_threshold_knob_still_load() {
+        // A verbatim TUNED.json from before the compute pool lost its
+        // spawn-threshold knob: the key sits in both `best_edp.config` and
+        // `runtime`, and must be ignored like any other unknown key.
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../testdata/tuned_legacy_knob.json");
+        let doc = TunedDoc::load(&path)
+            .expect("readable")
+            .expect("present and well-formed");
+        let swept = ArchConfig::dac24()
+            .with_pattern(NmPattern::one_of_eight())
+            .with_weight_bits(4);
+        assert_eq!(doc.best.config, swept);
+        assert_eq!(doc.points_swept, 24);
+        assert_eq!(doc.frontier.len(), 4);
+        let rt = doc.runtime_defaults();
+        assert_eq!(
+            (rt.workers, rt.par_threads, rt.max_batch, rt.queue_capacity),
+            (4, 1, 8, 256)
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Parallel staging buffers (conv gather rows, im2col panels) used to be
 //! allocated inside every task closure because tasks run on whichever
-//! executor steals them. [`ScratchArena`] keeps one buffer slot per
+//! executor claims them. [`ScratchArena`] keeps one buffer slot per
 //! executor instead: a task asks for "my" slot via [`current_executor`]
 //! (a thread-local hint set by the pool's worker threads), falls through
 //! to any free slot under contention, and only as a last resort builds a

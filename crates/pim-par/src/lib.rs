@@ -1,4 +1,4 @@
-//! Work-stealing fork-join pool over a fixed set of persistent threads.
+//! Shared-cursor fork-join pool over a fixed set of persistent threads.
 //!
 //! The hybrid accelerator gets its throughput from many PE tiles operating
 //! concurrently; the simulator mirrors that tile-level parallelism on the
@@ -22,28 +22,15 @@
 //!   lock traffic. Concurrent dispatchers (e.g. several serving workers
 //!   sharing one pool) never block each other: a contended dispatch also
 //!   falls back to inline execution.
-//! * **Cost-aware.** Dispatching a job costs a condvar wake — microseconds.
-//!   [`WorkPool::run_costed`] lets the caller attach a work estimate (e.g.
-//!   MAC count) to the grid; estimates below the pool's spawn threshold run
-//!   inline, so tiny grids never pay more for scheduling than for
-//!   arithmetic. The same estimate also sets the *split grain*: leaves
-//!   carry enough work to amortize their (nanosecond-scale) deque traffic.
-//! * **Idle workers sleep.** Workers park on a condvar between jobs, and
-//!   back off exponentially (spin → yield → timed park) when a job has no
-//!   stealable work left — no spin-waste on an oversubscribed host.
+//! * **Idle workers sleep.** Workers park on a condvar between jobs.
 //!
-//! Scheduling is lock-free on the hot path: each executor owns a bounded
-//! Chase–Lev deque of index ranges and splits its range lazily in half as
-//! long as it exceeds the job's grain, pushing upper halves where idle
-//! executors steal them (oldest — largest — first, with randomized victim
-//! selection). A shared-nothing design: after the one condvar wake that
-//! publishes a job, executors touch only their own deque bottom and CAS
-//! other deques' tops, so heterogeneous task costs (packed vs flat tiles
-//! have ~2× skew) self-balance without a shared cursor serializing every
-//! claim. See `DESIGN.md` §8 for the memory-ordering argument.
+//! The fan-outs this pool serves are regular (tiles × batch blocks,
+//! backbone row splits), so scheduling is one shared cursor: every
+//! executor claims contiguous chunks of `tasks / (threads · 8)` indices
+//! with a single `fetch_add` until the grid is exhausted. See `DESIGN.md`
+//! §8 for the memory-ordering argument.
 
 mod arena;
-mod deque;
 mod scheduler;
 mod slice;
 
@@ -60,39 +47,26 @@ use std::thread::JoinHandle;
 pub struct PoolCounters {
     /// Jobs dispatched across the worker threads.
     pub jobs: u64,
-    /// Jobs run inline (serial pool, single-task grid, or contended
-    /// dispatch).
+    /// Jobs run inline (serial pool or single-task grid).
     pub inline_jobs: u64,
-    /// The subset of `inline_jobs` caused by dispatch contention.
+    /// Jobs run inline because another dispatch held the pool.
     pub contended_jobs: u64,
     /// Task indices executed by dispatching callers.
     pub caller_tasks: u64,
     /// Task indices executed by pool workers.
     pub worker_tasks: u64,
-    /// Ranges stolen from another executor's deque.
+    /// Always 0: the shared-cursor pool has no deques to steal from. Kept
+    /// so existing readers of the counter snapshot still build.
     pub steals: u64,
-    /// Timed parks taken by executors that found no stealable work.
+    /// Always 0: executors never park mid-job. Kept so existing readers of
+    /// the counter snapshot still build.
     pub parks: u64,
-    /// Lazy range halvings (stealable upper halves pushed).
-    pub splits: u64,
 }
 
-/// Default spawn threshold for [`WorkPool::run_costed`], in estimated
-/// scalar ops (MACs / element visits). A dispatch costs a condvar wake —
-/// order of ten microseconds of combined overhead — so grids estimated
-/// under ~32k one-nanosecond ops are better off inline. Swept by `pim-dse`
-/// and tunable per pool.
-pub const DEFAULT_SPAWN_THRESHOLD: u64 = 32_768;
-
-/// Target number of leaves per executor when splitting an uncosted grid:
-/// enough slack for stealing to balance heterogeneous task costs, coarse
-/// enough that deque traffic stays a rounding error.
-const LEAVES_PER_EXECUTOR: usize = 8;
-
-/// Divisor applied to the spawn threshold to get the minimum estimated ops
-/// a leaf should carry: a split costs two deque operations (~tens of ns),
-/// so leaves worth 1/8 of a dispatch keep that overhead below ~1%.
-const SPLIT_COST_DIVISOR: u64 = 8;
+/// Chunks per executor in a dispatched grid: enough slack for the ~2× cost
+/// skew between packed and flat tiles to even out, coarse enough that
+/// cursor traffic stays a rounding error.
+const CHUNKS_PER_EXECUTOR: usize = 8;
 
 /// A fixed-size pool of persistent worker threads for scoped fork-join
 /// dispatch.
@@ -132,8 +106,6 @@ pub struct WorkPool {
     dispatch: Mutex<()>,
     counters: Arc<Counters>,
     threads: usize,
-    /// Estimated-op floor below which [`Self::run_costed`] stays inline.
-    spawn_threshold: u64,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -152,8 +124,8 @@ impl WorkPool {
     }
 
     /// [`new`](Self::new) without the available-core clamp — a test/bench
-    /// hook so dispatch, stealing, and counter behaviour stay exercised
-    /// on single-core CI runners. Production callers want `new`.
+    /// hook so dispatch and counter behaviour stay exercised on
+    /// single-core CI runners. Production callers want `new`.
     pub fn with_forced_threads(threads: usize) -> Self {
         let threads = threads.max(1);
         let counters = Arc::new(Counters::default());
@@ -163,11 +135,10 @@ impl WorkPool {
                 dispatch: Mutex::new(()),
                 counters,
                 threads,
-                spawn_threshold: DEFAULT_SPAWN_THRESHOLD,
                 handles: Vec::new(),
             };
         }
-        let inner = Arc::new(Shared::new(threads));
+        let inner = Arc::new(Shared::new());
         let handles = (0..threads - 1)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -183,7 +154,6 @@ impl WorkPool {
             dispatch: Mutex::new(()),
             counters,
             threads,
-            spawn_threshold: DEFAULT_SPAWN_THRESHOLD,
             handles,
         }
     }
@@ -206,19 +176,6 @@ impl WorkPool {
         self.threads
     }
 
-    /// Sets the estimated-op floor below which [`Self::run_costed`] runs
-    /// inline (min 1), returning the pool builder-style. Scheduling-only:
-    /// outputs are bit-identical at every threshold.
-    pub fn with_spawn_threshold(mut self, threshold: u64) -> Self {
-        self.spawn_threshold = threshold.max(1);
-        self
-    }
-
-    /// The current spawn threshold (estimated ops).
-    pub fn spawn_threshold(&self) -> u64 {
-        self.spawn_threshold
-    }
-
     /// Snapshot of the cumulative activity counters.
     pub fn counters(&self) -> PoolCounters {
         PoolCounters {
@@ -227,9 +184,8 @@ impl WorkPool {
             contended_jobs: self.counters.contended_jobs.load(Ordering::Relaxed),
             caller_tasks: self.counters.caller_tasks.load(Ordering::Relaxed),
             worker_tasks: self.counters.worker_tasks.load(Ordering::Relaxed),
-            steals: self.counters.steals.load(Ordering::Relaxed),
-            parks: self.counters.parks.load(Ordering::Relaxed),
-            splits: self.counters.splits.load(Ordering::Relaxed),
+            steals: 0,
+            parks: 0,
         }
     }
 
@@ -247,53 +203,28 @@ impl WorkPool {
     /// If any task panics, `run` panics after every task has completed
     /// (the scope never leaks running borrows).
     pub fn run<F: Fn(usize) + Sync>(&self, tasks: usize, f: F) {
-        // Uncosted grids split purely by shape: ~8 leaves per executor.
-        let grain = (tasks / (self.threads * LEAVES_PER_EXECUTOR)).max(1);
-        self.dispatch_grained(tasks, grain, f);
-    }
-
-    /// [`run`](Self::run) with a caller-supplied work estimate: when
-    /// `estimated_ops` (total scalar work in the grid, e.g. MAC count ×
-    /// batch) falls below the pool's spawn threshold, the whole grid runs
-    /// inline on the caller — no dispatch attempt, no lock traffic —
-    /// because waking workers would cost more than the arithmetic. At or
-    /// above the threshold it dispatches, and the same estimate sets the
-    /// split grain: leaves carry at least ~1/8 of a threshold's worth of
-    /// estimated ops, so deque traffic never dominates fine-grained grids.
-    ///
-    /// Scheduling-only: each index still runs exactly once, so results are
-    /// bit-identical to [`run`](Self::run) at every threshold.
-    pub fn run_costed<F: Fn(usize) + Sync>(&self, tasks: usize, estimated_ops: u64, f: F) {
         if tasks == 0 {
             return;
         }
-        if self.inner.is_some() && estimated_ops < self.spawn_threshold {
-            return self.run_inline(tasks, &f, &self.counters.inline_jobs);
-        }
-        let per_index = (estimated_ops / tasks.max(1) as u64).max(1);
-        let cost_floor = ((self.spawn_threshold / SPLIT_COST_DIVISOR).max(1) / per_index).max(1);
-        let shape = (tasks / (self.threads * LEAVES_PER_EXECUTOR)).max(1);
-        self.dispatch_grained(tasks, (cost_floor as usize).max(shape), f);
-    }
-
-    /// [`for_each_chunk`](Self::for_each_chunk) with the
-    /// [`run_costed`](Self::run_costed) inline-below-threshold rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is zero.
-    pub fn for_each_chunk_costed<F>(&self, total: usize, chunk: usize, estimated_ops: u64, f: F)
-    where
-        F: Fn(std::ops::Range<usize>) + Sync,
-    {
-        assert!(chunk > 0, "chunk size must be positive");
-        if total == 0 {
-            return;
-        }
-        self.run_costed(total.div_ceil(chunk), estimated_ops, |t| {
-            let start = t * chunk;
-            f(start..(start + chunk).min(total));
-        });
+        let shared = match &self.inner {
+            Some(shared) if tasks > 1 => shared,
+            _ => return self.run_inline(tasks, &f, &self.counters.inline_jobs),
+        };
+        let Ok(gate) = self.dispatch.try_lock() else {
+            return self.run_inline(tasks, &f, &self.counters.contended_jobs);
+        };
+        self.counters.jobs.fetch_add(1, Ordering::Relaxed);
+        let grain = (tasks / (self.threads * CHUNKS_PER_EXECUTOR)).max(1);
+        let erased: &(dyn Fn(usize) + Sync) = &f;
+        // SAFETY: the 'static lifetime is a lie told only to the workers.
+        // `run_job` does not return (and `f` is not dropped) until every
+        // index has completed *and* every worker that joined the job has
+        // checked back out, so no worker can observe the closure after it
+        // dies — not even one that copied the descriptor and stalled.
+        let erased: TaskFn = unsafe { std::mem::transmute(erased) };
+        let panicked = scheduler::run_job(shared, &self.counters, erased, tasks, grain);
+        drop(gate);
+        assert!(!panicked, "pim-par: a parallel task panicked");
     }
 
     /// [`run`](Self::run) over `⌈total / chunk⌉` contiguous index ranges:
@@ -316,39 +247,6 @@ impl WorkPool {
             let start = t * chunk;
             f(start..(start + chunk).min(total));
         });
-    }
-
-    /// The dispatch path shared by [`run`](Self::run) and
-    /// [`run_costed`](Self::run_costed): publish the root range with the
-    /// given split grain, participate as executor 0, retire the job.
-    fn dispatch_grained<F: Fn(usize) + Sync>(&self, tasks: usize, grain: usize, f: F) {
-        if tasks == 0 {
-            return;
-        }
-        let Some(shared) = &self.inner else {
-            return self.run_inline(tasks, &f, &self.counters.inline_jobs);
-        };
-        if tasks == 1 {
-            return self.run_inline(tasks, &f, &self.counters.inline_jobs);
-        }
-        assert!(
-            tasks <= u32::MAX as usize,
-            "pim-par grids are u32-indexed (got {tasks} tasks)"
-        );
-        let Ok(gate) = self.dispatch.try_lock() else {
-            return self.run_inline(tasks, &f, &self.counters.contended_jobs);
-        };
-        self.counters.jobs.fetch_add(1, Ordering::Relaxed);
-        let erased: &(dyn Fn(usize) + Sync) = &f;
-        // SAFETY: the 'static lifetime is a lie told only to the workers.
-        // `run_job` does not return (and `f` is not dropped) until every
-        // index has completed *and* every worker that joined the job has
-        // checked back out, so no worker can observe the closure after it
-        // dies — not even one that copied the descriptor and stalled.
-        let erased: TaskFn = unsafe { std::mem::transmute(erased) };
-        let panicked = scheduler::run_job(shared, &self.counters, erased, tasks, grain);
-        drop(gate);
-        assert!(!panicked, "pim-par: a parallel task panicked");
     }
 
     fn run_inline(
@@ -422,7 +320,7 @@ mod tests {
         assert_eq!(c.jobs, 0);
         assert_eq!(c.inline_jobs, 1);
         assert_eq!(c.worker_tasks, 0);
-        assert_eq!((c.steals, c.parks, c.splits), (0, 0, 0));
+        assert_eq!((c.steals, c.parks), (0, 0));
     }
 
     #[test]
@@ -542,27 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn steals_split_ranges_and_count() {
-        // Slow tasks on a forced-wide pool: workers must wake, steal a
-        // half, and split further — all three new counters move.
-        let pool = WorkPool::with_forced_threads(4);
-        let hits = AtomicUsize::new(0);
-        pool.run(64, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-        let c = pool.counters();
-        assert!(c.splits > 0, "a 64-index grid on grain 2 must split");
-        // Steals require a worker to actually win a race against the
-        // caller; on a single-core host the workers may never get
-        // scheduled in time, so only assert when they did run tasks.
-        if c.worker_tasks > 0 {
-            assert!(c.steals > 0, "worker tasks imply at least one steal");
-        }
-    }
-
-    #[test]
     fn requested_width_is_clamped_to_available_cores() {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -582,59 +459,5 @@ mod tests {
             assert_eq!(c.inline_jobs, 1);
             assert_eq!(c.worker_tasks, 0);
         }
-    }
-
-    #[test]
-    fn run_costed_stays_inline_below_the_spawn_threshold() {
-        let pool = WorkPool::with_forced_threads(4);
-        let sum = AtomicU64::new(0);
-        // Tiny estimate: the grid runs inline, no dispatch.
-        pool.run_costed(8, 10, |i| {
-            sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
-        });
-        let c = pool.counters();
-        assert_eq!((c.jobs, c.inline_jobs), (0, 1));
-        // Huge estimate: normal dispatch.
-        pool.run_costed(8, u64::MAX, |i| {
-            sum.fetch_add(i as u64 + 1, Ordering::Relaxed);
-        });
-        assert_eq!(pool.counters().jobs, 1);
-        // Both grids ran every index exactly once.
-        assert_eq!(sum.load(Ordering::Relaxed), 2 * 36);
-    }
-
-    #[test]
-    fn spawn_threshold_is_tunable_and_floored_at_one() {
-        let pool = WorkPool::with_forced_threads(2).with_spawn_threshold(0);
-        assert_eq!(pool.spawn_threshold(), 1);
-        // estimate 1 ≥ threshold 1 → dispatches even the smallest grid.
-        pool.run_costed(4, 1, |_| {});
-        assert_eq!(pool.counters().jobs, 1);
-
-        let lazy = WorkPool::with_forced_threads(2).with_spawn_threshold(u64::MAX);
-        let hits = AtomicU64::new(0);
-        lazy.for_each_chunk_costed(100, 10, u64::MAX - 1, |r| {
-            hits.fetch_add(r.len() as u64, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
-        assert_eq!(lazy.counters().jobs, 0, "below threshold stays inline");
-    }
-
-    #[test]
-    fn costed_grain_keeps_leaves_above_the_split_floor() {
-        // 1024 indices estimated at 32 ops each (32768 total): the cost
-        // floor wants leaves of ≥ 4096 ops = 128 indices, which beats the
-        // shape grain (1024 / 32 = 32). Halving 1024 down to 128 builds a
-        // split tree with exactly 7 internal nodes, no matter which
-        // executor performs each split.
-        let pool = WorkPool::with_forced_threads(4);
-        let hits = AtomicUsize::new(0);
-        pool.run_costed(1024, DEFAULT_SPAWN_THRESHOLD, |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 1024);
-        let c = pool.counters();
-        assert_eq!(c.jobs, 1);
-        assert_eq!(c.splits, 7, "cost floor caps the split tree at 8 leaves");
     }
 }

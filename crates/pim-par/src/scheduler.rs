@@ -1,31 +1,23 @@
-//! The work-stealing job scheduler behind [`WorkPool`](crate::WorkPool).
+//! The shared-cursor chunk scheduler behind [`WorkPool`](crate::WorkPool).
 //!
 //! One job runs at a time (the pool's dispatch gate serializes callers).
-//! The dispatcher seeds its own deque with the root range `0..tasks`,
-//! publishes a [`JobDesc`] under the state mutex, wakes the workers, and
-//! then participates as executor 0. Every executor runs the same loop:
-//! drain the own deque (LIFO), then steal from randomized victims (FIFO —
-//! thieves take the oldest, i.e. largest, pending half), with exponential
-//! backoff into a timed condvar park when no work is visible.
+//! The dispatcher resets the job's cursor, publishes a [`JobDesc`] under
+//! the state mutex, wakes the workers, and then participates as executor
+//! 0. Every executor runs the same loop: claim the next `grain` indices
+//! with one `fetch_add` on the shared cursor, run them, add their count to
+//! `completed`, and stop once a claim lands at or past `total`.
 //!
-//! Ranges split *lazily*: an executor holding a range longer than the
-//! job's grain pushes the upper half into its own deque (where it can be
-//! stolen) and keeps halving the lower part. Work only fans out when
-//! thieves are actually idle — a busy pool executes near-sequentially
-//! within each executor, and a 1-wide pool never dispatches at all.
-//!
-//! Completion is an index count: each executed leaf adds its length to
-//! `completed`; the job is over when it reaches `total`. The dispatcher
-//! additionally waits for every joined worker to *check out* (`active ==
-//! 0`) before retiring the job — workers copy the lifetime-erased closure
-//! when they join, so the closure must outlive the last worker that could
-//! still hold it, not merely the last executed index.
+//! Retiring a job takes two conditions. `completed == total` says every
+//! index ran; `active == 0` says every worker that joined the job has
+//! checked out. The second is what makes the lifetime erasure sound: a
+//! worker copies the closure when it joins, and a late joiner may still be
+//! about to touch the cursor after the last index finished. Only once it
+//! has checked out may the dispatcher reset the cursor for the next job or
+//! let the caller's closure die.
 
-use crate::deque::{Deque, RangeTask, Steal};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// A lifetime-erased reference to the job closure. Only ever dereferenced
 /// while the dispatching [`run`](crate::WorkPool::run) is blocked on the
@@ -45,22 +37,15 @@ pub(crate) struct Counters {
     pub caller_tasks: AtomicU64,
     /// Task indices executed by pool workers.
     pub worker_tasks: AtomicU64,
-    /// Ranges successfully stolen from another executor's deque.
-    pub steals: AtomicU64,
-    /// Timed condvar parks taken by idle executors mid-job.
-    pub parks: AtomicU64,
-    /// Lazy range halvings (each push of an upper half).
-    pub splits: AtomicU64,
 }
 
 /// The published description of the in-flight job. `Copy` so every
-/// executor takes a private snapshot under the state mutex and then runs
-/// lock-free.
+/// executor takes a private snapshot under the state mutex.
 #[derive(Clone, Copy)]
 struct JobDesc {
     f: TaskFn,
     total: usize,
-    /// Ranges at or below this length execute as leaves (no further split).
+    /// Indices claimed per cursor `fetch_add`.
     grain: usize,
     /// Monotone job id; a worker joins each generation at most once.
     gen: u64,
@@ -77,30 +62,24 @@ struct PoolState {
 /// Everything the executors share. Owned by the pool via `Arc`.
 pub(crate) struct Shared {
     state: Mutex<PoolState>,
-    /// Signaled when a job is published, when a split adds stealable work
-    /// while someone is parked, when the job completes, and at shutdown.
+    /// Signaled when a job is published and at shutdown.
     work_ready: Condvar,
-    /// Signaled when the last index completes and when a worker checks out.
+    /// Signaled when the last joined worker checks out.
     job_done: Condvar,
-    /// One deque per executor; slot 0 is the dispatching caller.
-    deques: Vec<Deque>,
+    /// The next unclaimed index of the current job.
+    next: AtomicUsize,
     /// Indices finished (successfully or by panicking) in the current job.
     completed: AtomicUsize,
     panicked: AtomicBool,
-    /// Executors currently inside a timed park (wake heuristic: splitters
-    /// only touch the condvar when this is non-zero).
-    idle: AtomicUsize,
 }
 
-/// Backoff schedule: spin rounds, then yields, then timed parks.
+/// The dispatcher's wait on the completion count: exponential spin rounds,
+/// then yields, then the condvar.
 const SPIN_ROUNDS: u32 = 6;
 const YIELD_ROUNDS: u32 = 4;
-/// Cap on one timed park. Parks are timed (never indefinite) so the rare
-/// racy lost wakeup costs at most this much latency.
-const MAX_PARK: Duration = Duration::from_micros(200);
 
 impl Shared {
-    pub(crate) fn new(executors: usize) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             state: Mutex::new(PoolState {
                 job: None,
@@ -110,10 +89,9 @@ impl Shared {
             }),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
-            deques: (0..executors).map(|_| Deque::new()).collect(),
+            next: AtomicUsize::new(0),
             completed: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
-            idle: AtomicUsize::new(0),
         }
     }
 
@@ -132,16 +110,12 @@ pub(crate) fn run_job(
     total: usize,
     grain: usize,
 ) -> bool {
-    // Reset is safe outside the lock: the previous job fully retired
-    // (active == 0) before its dispatcher released the gate.
+    // Reset is safe outside the lock: the previous job retired with
+    // `active == 0` and `job == None`, so no executor touches these until
+    // the publish below, whose unlock releases the stores to every joiner.
+    shared.next.store(0, Ordering::Relaxed);
     shared.completed.store(0, Ordering::Relaxed);
     shared.panicked.store(false, Ordering::Relaxed);
-    shared.deques[0]
-        .push(RangeTask {
-            lo: 0,
-            hi: total as u32,
-        })
-        .expect("root task fits an idle deque");
     let job = {
         let mut st = shared.state.lock().expect("pool state lock");
         debug_assert!(st.job.is_none(), "dispatch gate admits one job at a time");
@@ -156,23 +130,38 @@ pub(crate) fn run_job(
         job
     };
     shared.work_ready.notify_all();
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ job.gen;
-    execute(0, &job, shared, counters, &mut rng);
-    {
-        let mut st = shared.state.lock().expect("pool state lock");
-        while st.active > 0 {
-            st = shared.job_done.wait(st).expect("pool state lock");
+    execute(&job, shared, &counters.caller_tasks);
+    // Whatever is still running belongs to a worker that will finish it
+    // within microseconds; a condvar sleep costs more than that.
+    for round in 0..SPIN_ROUNDS + YIELD_ROUNDS {
+        if shared.completed.load(Ordering::Acquire) >= total {
+            break;
         }
-        st.job = None;
+        if round < SPIN_ROUNDS {
+            for _ in 0..(1u32 << round) {
+                std::hint::spin_loop();
+            }
+        } else {
+            std::thread::yield_now();
+        }
     }
+    let mut st = shared.state.lock().expect("pool state lock");
+    // Every claimed chunk belongs to the dispatcher (finished above) or to
+    // a checked-in worker, so `active == 0` implies `completed == total`.
+    while st.active > 0 {
+        st = shared.job_done.wait(st).expect("pool state lock");
+    }
+    debug_assert_eq!(shared.completed.load(Ordering::Acquire), total);
+    st.job = None;
+    drop(st);
     shared.panicked.load(Ordering::Relaxed)
 }
 
-/// The persistent worker thread body. `slot` is the executor's deque index
-/// (1-based; 0 is the dispatching caller).
+/// The persistent worker thread body. `slot` is the executor's
+/// [`current_executor`](crate::current_executor) tag (1-based; 0 is the
+/// dispatching caller).
 pub(crate) fn worker_loop(slot: usize, shared: &Shared, counters: &Counters) {
     crate::arena::set_executor(slot);
-    let mut rng = 0xA24B_AED4_963E_E407u64.wrapping_mul(slot as u64 + 1) | 1;
     let mut seen = 0u64;
     loop {
         let job = {
@@ -193,178 +182,36 @@ pub(crate) fn worker_loop(slot: usize, shared: &Shared, counters: &Counters) {
                 }
             }
         };
-        execute(slot, &job, shared, counters, &mut rng);
+        execute(&job, shared, &counters.worker_tasks);
         let mut st = shared.state.lock().expect("pool state lock");
         st.active -= 1;
         if st.active == 0 {
-            shared.job_done.notify_all();
+            shared.job_done.notify_one();
         }
     }
 }
 
-/// One executor's participation in one job: drain own deque, steal, back
-/// off; return once every index of the job has completed.
-fn execute(me: usize, job: &JobDesc, shared: &Shared, counters: &Counters, rng: &mut u64) {
-    let my = &shared.deques[me];
-    let task_ctr = if me == 0 {
-        &counters.caller_tasks
-    } else {
-        &counters.worker_tasks
-    };
-    let mut backoff: u32 = 0;
+/// One executor's participation in one job: claim and run chunks until
+/// the cursor is exhausted.
+fn execute(job: &JobDesc, shared: &Shared, task_ctr: &AtomicU64) {
+    let f = job.f;
+    let mut ran = 0;
     loop {
-        while let Some(task) = my.pop() {
-            run_task(task, job, my, shared, counters, task_ctr);
-            backoff = 0;
-        }
-        if shared.completed.load(Ordering::Acquire) >= job.total {
-            return;
-        }
-        match steal_once(me, shared, rng) {
-            StealOutcome::Task(task) => {
-                counters.steals.fetch_add(1, Ordering::Relaxed);
-                run_task(task, job, my, shared, counters, task_ctr);
-                backoff = 0;
-            }
-            StealOutcome::Contended => {
-                // A victim deque is in flux — work exists; try again now.
-                std::hint::spin_loop();
-            }
-            StealOutcome::Empty => {
-                backoff = backoff.saturating_add(1);
-                if backoff <= SPIN_ROUNDS {
-                    for _ in 0..(1u32 << backoff) {
-                        std::hint::spin_loop();
-                    }
-                } else if backoff <= SPIN_ROUNDS + YIELD_ROUNDS {
-                    std::thread::yield_now();
-                } else {
-                    park(shared, job, counters, backoff);
-                }
-            }
-        }
-    }
-}
-
-enum StealOutcome {
-    Task(RangeTask),
-    Contended,
-    Empty,
-}
-
-/// One round of victim selection: randomized probes first, then a
-/// deterministic sweep so a lone victim cannot be missed by bad luck.
-fn steal_once(me: usize, shared: &Shared, rng: &mut u64) -> StealOutcome {
-    let n = shared.deques.len();
-    let mut contended = false;
-    let randomized = 2 * n;
-    for probe in 0..randomized + n {
-        let v = if probe < randomized {
-            (xorshift(rng) % n as u64) as usize
-        } else {
-            probe - randomized
-        };
-        if v == me {
-            continue;
-        }
-        match shared.deques[v].steal() {
-            Steal::Success(task) => return StealOutcome::Task(task),
-            Steal::Retry => contended = true,
-            Steal::Empty => {}
-        }
-    }
-    if contended {
-        StealOutcome::Contended
-    } else {
-        StealOutcome::Empty
-    }
-}
-
-/// Timed park on the work condvar. Registers in `idle` first so splitters
-/// know a wake is worth the notify; re-checks for work *under the lock* so
-/// a notify between the last steal attempt and the wait cannot be lost.
-fn park(shared: &Shared, job: &JobDesc, counters: &Counters, backoff: u32) {
-    counters.parks.fetch_add(1, Ordering::Relaxed);
-    shared.idle.fetch_add(1, Ordering::SeqCst);
-    let st = shared.state.lock().expect("pool state lock");
-    let done = shared.completed.load(Ordering::Acquire) >= job.total;
-    if !done && !shared.deques.iter().any(Deque::has_items) {
-        let exp = backoff.saturating_sub(SPIN_ROUNDS + YIELD_ROUNDS).min(6);
-        let timeout = Duration::from_micros(4u64 << exp).min(MAX_PARK);
-        drop(
-            shared
-                .work_ready
-                .wait_timeout(st, timeout)
-                .expect("pool state lock"),
-        );
-    } else {
-        drop(st);
-    }
-    shared.idle.fetch_sub(1, Ordering::SeqCst);
-}
-
-/// Splits `task` lazily down to the grain (upper halves become stealable),
-/// executes the final leaf index-by-index, and publishes completion.
-fn run_task(
-    mut task: RangeTask,
-    job: &JobDesc,
-    my: &Deque,
-    shared: &Shared,
-    counters: &Counters,
-    task_ctr: &AtomicU64,
-) {
-    while task.len() > job.grain {
-        let mid = task.lo + (task.hi - task.lo) / 2;
-        if my
-            .push(RangeTask {
-                lo: mid,
-                hi: task.hi,
-            })
-            .is_err()
-        {
-            // Deque full (can't happen at these depths, but stay correct):
-            // run the remainder unsplit — coarser, never lost.
+        let start = shared.next.fetch_add(job.grain, Ordering::Relaxed);
+        if start >= job.total {
             break;
         }
-        counters.splits.fetch_add(1, Ordering::Relaxed);
-        task.hi = mid;
-        if shared.idle.load(Ordering::Relaxed) > 0 {
-            // Notify under the state lock: parked executors re-check for
-            // work while holding it, so this wake cannot fall into their
-            // check-to-wait window.
-            let _guard = shared.state.lock().expect("pool state lock");
-            shared.work_ready.notify_one();
+        let end = (start + job.grain).min(job.total);
+        for i in start..end {
+            // Catch per index: a panicking index must not take the rest of
+            // its chunk down with it (the join contract is "every
+            // non-panicking index ran").
+            if catch_unwind(AssertUnwindSafe(|| f(i))).is_err() {
+                shared.panicked.store(true, Ordering::Relaxed);
+            }
         }
+        ran += end - start;
+        shared.completed.fetch_add(end - start, Ordering::AcqRel);
     }
-    let f = job.f;
-    for i in task.lo..task.hi {
-        let i = i as usize;
-        // Catch per index: a panicking index must not take the rest of its
-        // leaf down with it (the join contract is "every non-panicking
-        // index ran").
-        if catch_unwind(AssertUnwindSafe(|| f(i))).is_err() {
-            shared.panicked.store(true, Ordering::Relaxed);
-        }
-    }
-    task_ctr.fetch_add(task.len() as u64, Ordering::Relaxed);
-    let done = shared.completed.fetch_add(task.len(), Ordering::AcqRel) + task.len();
-    if done >= job.total {
-        // Wake everyone promptly: parked thieves must notice completion
-        // (not sleep out their timeout) and the dispatcher may be waiting
-        // for the job to finish. Lock-then-notify pairs with their
-        // check-under-lock.
-        let _guard = shared.state.lock().expect("pool state lock");
-        shared.work_ready.notify_all();
-        shared.job_done.notify_all();
-    }
-}
-
-#[inline]
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
+    task_ctr.fetch_add(ran as u64, Ordering::Relaxed);
 }

@@ -77,9 +77,6 @@ pub struct TunedDefaults {
     pub max_batch: usize,
     /// Bounded queue capacity.
     pub queue_capacity: usize,
-    /// Compute-pool inline-vs-dispatch cost threshold (estimated scalar
-    /// ops below which a fan-out runs inline on the caller).
-    pub spawn_threshold: u64,
 }
 
 /// Which knobs the user set explicitly (those always beat tuned defaults).
@@ -99,8 +96,6 @@ pub struct RuntimeBuilder {
     /// Intra-request compute pool width; `None` sizes it to the cores left
     /// over after the serving workers.
     par_threads: Option<usize>,
-    /// Compute-pool spawn threshold; `None` keeps the pool's default.
-    spawn_threshold: Option<u64>,
     /// Extra `replica="<label>"` label on every telemetry family.
     replica_label: Option<String>,
     /// Sweep-selected defaults, applied at [`Self::start`] for every knob
@@ -133,12 +128,12 @@ impl RuntimeBuilder {
 
     /// Installs sweep-selected [`TunedDefaults`] (typically loaded from
     /// `TUNED.json` by `pim-dse`). They replace the hard-coded defaults
-    /// for `workers`, `par_threads`, `max_batch`, `queue_capacity`, and
-    /// `spawn_threshold`; any of those knobs set explicitly — before *or*
-    /// after this call — keeps its explicit value, because resolution
-    /// happens once, at [`Self::start`].
+    /// for `workers`, `par_threads`, `max_batch`, and `queue_capacity`;
+    /// any of those knobs set explicitly — before *or* after this call —
+    /// keeps its explicit value, because resolution happens once, at
+    /// [`Self::start`].
     ///
-    /// Tuning never changes served results: all five knobs only move work
+    /// Tuning never changes served results: all four knobs only move work
     /// between threads and batches, and outputs are bit-identical at every
     /// setting (the `pim-par` determinism contract).
     pub fn tuned(mut self, defaults: TunedDefaults) -> Self {
@@ -164,18 +159,6 @@ impl RuntimeBuilder {
     /// the deterministic sequential order.
     pub fn par_threads(mut self, n: usize) -> Self {
         self.par_threads = Some(n.max(1));
-        self
-    }
-
-    /// Sets the compute pool's cost-aware granularity threshold (min 1):
-    /// fan-outs whose estimated scalar work falls below it run inline on
-    /// the calling worker instead of being dispatched — small jobs skip
-    /// the handoff latency entirely. Purely a scheduling knob: outputs
-    /// and ledgers are bit-identical at every setting. Without this call
-    /// the pool keeps [`pim_par::DEFAULT_SPAWN_THRESHOLD`] (or the tuned
-    /// value when [`tuned`](Self::tuned) defaults are installed).
-    pub fn spawn_threshold(mut self, ops: u64) -> Self {
-        self.spawn_threshold = Some(ops.max(1));
         self
     }
 
@@ -228,9 +211,6 @@ impl RuntimeBuilder {
             if self.par_threads.is_none() {
                 self.par_threads = Some(t.par_threads.max(1));
             }
-            if self.spawn_threshold.is_none() {
-                self.spawn_threshold = Some(t.spawn_threshold.max(1));
-            }
         }
         let replica_label = self.replica_label;
         let telemetry = self
@@ -245,11 +225,7 @@ impl RuntimeBuilder {
                 .unwrap_or(1);
             cores.saturating_sub(self.config.workers).max(1)
         });
-        let mut pool = WorkPool::new(par_threads);
-        if let Some(ops) = self.spawn_threshold {
-            pool = pool.with_spawn_threshold(ops);
-        }
-        let pool = Arc::new(pool);
+        let pool = Arc::new(WorkPool::new(par_threads));
         if let Some(tel) = &telemetry {
             tel.pool_threads.set(pool.threads() as f64);
         }
@@ -584,11 +560,6 @@ impl Runtime {
         self.shared.pool.threads()
     }
 
-    /// The shared compute pool's inline-vs-dispatch cost threshold.
-    pub fn spawn_threshold(&self) -> u64 {
-        self.shared.pool.spawn_threshold()
-    }
-
     /// A snapshot of the shared compute pool's activity counters
     /// (jobs dispatched, inline fallbacks, caller vs. worker task split).
     pub fn pool_counters(&self) -> PoolCounters {
@@ -858,8 +829,7 @@ fn serve_batch(
         // pipeline timings are recorded.
         tel.batch_size.observe(size as f64);
         tel.requests_total.add(size as f64);
-        // Mirror the compute pool's cumulative activity: gauges take the
-        // snapshot, the steal/park/split counters take the delta.
+        // Mirror the compute pool's cumulative activity into its gauges.
         tel.mirror_pool(&shared.pool.counters());
         tel.stage_batch_form
             .observe(dispatched.duration_since(formed).as_secs_f64());

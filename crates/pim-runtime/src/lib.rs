@@ -111,7 +111,6 @@ mod tests {
             par_threads: 3,
             max_batch: 4,
             queue_capacity: 99,
-            spawn_threshold: 5,
         };
         // All knobs default to the tuned values (the pool width is
         // additionally clamped to the physically available cores).
@@ -121,7 +120,6 @@ mod tests {
         let runtime = builder.start();
         assert_eq!(runtime.par_threads(), 3.min(cores));
         assert_eq!(runtime.queue_capacity(), 99);
-        assert_eq!(runtime.spawn_threshold(), 5);
         let input = Tensor::ones(runtime.models()[0].input_shape());
         let tuned_logits = runtime.infer(id, &input).expect("infer").logits;
         runtime.shutdown();
@@ -131,13 +129,11 @@ mod tests {
         let mut builder = Runtime::builder()
             .queue_capacity(10)
             .par_threads(1)
-            .spawn_threshold(7_000)
             .tuned(tuned);
         let id = builder.register(CompiledModel::compile("tiny", &tiny_model()).expect("compile"));
         let runtime = builder.start();
         assert_eq!(runtime.par_threads(), 1);
         assert_eq!(runtime.queue_capacity(), 10);
-        assert_eq!(runtime.spawn_threshold(), 7_000);
         // Tuning knobs never change served results (determinism contract).
         let explicit_logits = runtime.infer(id, &input).expect("infer").logits;
         assert_eq!(tuned_logits, explicit_logits);

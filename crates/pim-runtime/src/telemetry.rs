@@ -8,7 +8,6 @@
 
 use pim_pe::PeTelemetry;
 use pim_telemetry::{exponential_buckets, Counter, Gauge, Histogram, Telemetry};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Stage label values of [`STAGE_METRIC`], in pipeline order.
@@ -54,23 +53,8 @@ pub(crate) struct RuntimeTelemetry {
     pub pool_inline_jobs: Gauge,
     /// Cumulative pool tasks executed by the dispatching worker itself.
     pub pool_caller_tasks: Gauge,
-    /// Cumulative pool tasks stolen by the pool's helper threads.
+    /// Cumulative pool tasks executed by the pool's helper threads.
     pub pool_worker_tasks: Gauge,
-    /// Cumulative deque steals inside the compute pool's scheduler.
-    pub pool_steals: Gauge,
-    /// Cumulative executor parks (idle backoff) inside the scheduler.
-    pub pool_parks: Gauge,
-    /// Cumulative lazy-halving splits inside the scheduler.
-    pub pool_splits: Gauge,
-    /// Monotone counter view of `pool_steals` (scrapers alert on rates).
-    pub steals_total: Counter,
-    /// Monotone counter view of `pool_parks`.
-    pub parks_total: Counter,
-    /// Monotone counter view of `pool_splits`.
-    pub splits_total: Counter,
-    /// Last pool-counter snapshot mirrored into the `*_total` counters,
-    /// packed `(steals, parks, splits)`; see [`Self::mirror_pool`].
-    last_pool: Arc<[AtomicU64; 3]>,
     /// The `PeStats` mirror attached to every served branch.
     pub pe: PeTelemetry,
 }
@@ -152,33 +136,8 @@ impl RuntimeTelemetry {
             ),
             pool_worker_tasks: gauge(
                 "pim_par_pool_worker_tasks",
-                "Cumulative pool tasks stolen by pool helper threads",
+                "Cumulative pool tasks executed by pool helper threads",
             ),
-            pool_steals: gauge(
-                "pim_par_pool_steals",
-                "Cumulative deque steals inside the compute pool scheduler",
-            ),
-            pool_parks: gauge(
-                "pim_par_pool_parks",
-                "Cumulative executor parks (idle backoff) in the scheduler",
-            ),
-            pool_splits: gauge(
-                "pim_par_pool_splits",
-                "Cumulative lazy-halving task splits in the scheduler",
-            ),
-            steals_total: counter(
-                "pim_par_steals_total",
-                "Deque steals inside the compute pool scheduler",
-            ),
-            parks_total: counter(
-                "pim_par_parks_total",
-                "Executor parks (idle backoff) in the compute pool scheduler",
-            ),
-            splits_total: counter(
-                "pim_par_splits_total",
-                "Lazy-halving task splits in the compute pool scheduler",
-            ),
-            last_pool: Arc::new([AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)]),
             pe: match replica {
                 Some(r) => PeTelemetry::register_with(registry, PE_SOURCE, &[("replica", r)]),
                 None => PeTelemetry::register(registry, PE_SOURCE),
@@ -187,30 +146,11 @@ impl RuntimeTelemetry {
         }
     }
 
-    /// Mirrors one compute-pool counter snapshot into the telemetry
-    /// handles: gauges take the cumulative value directly, and the
-    /// `*_total` counters take the **delta** since the last mirrored
-    /// snapshot (an atomic swap per series, so concurrent workers each
-    /// add a disjoint slice and the sums telescope — the counters stay
-    /// monotone and converge to the pool's own cumulative totals).
+    /// Mirrors one compute-pool counter snapshot into the pool gauges.
     pub(crate) fn mirror_pool(&self, pc: &pim_par::PoolCounters) {
         self.pool_jobs.set(pc.jobs as f64);
         self.pool_inline_jobs.set(pc.inline_jobs as f64);
         self.pool_caller_tasks.set(pc.caller_tasks as f64);
         self.pool_worker_tasks.set(pc.worker_tasks as f64);
-        self.pool_steals.set(pc.steals as f64);
-        self.pool_parks.set(pc.parks as f64);
-        self.pool_splits.set(pc.splits as f64);
-        let series = [
-            (&self.steals_total, pc.steals),
-            (&self.parks_total, pc.parks),
-            (&self.splits_total, pc.splits),
-        ];
-        for (i, (counter, now)) in series.into_iter().enumerate() {
-            let prev = self.last_pool[i].swap(now, Ordering::Relaxed);
-            if now > prev {
-                counter.add((now - prev) as f64);
-            }
-        }
     }
 }

@@ -1,8 +1,7 @@
 //! Design-space exploration: sweep, prune, measure, tune.
 //!
 //! Enumerates the dac24 neighborhood of the architecture grid (N:M
-//! pattern × SRAM tile × weight precision × worker/thread split ×
-//! pool spawn threshold),
+//! pattern × SRAM tile × weight precision × worker/thread split),
 //! evaluates every valid point with the analytic `pim-arch` roll-up,
 //! prunes to the {latency, energy, area, EDP} Pareto frontier, promotes
 //! the lowest-EDP survivors to real PE micro-benches, and writes the
@@ -87,12 +86,8 @@ fn main() {
     // -- Tuned defaults drive the runtime, bit-exactly ----------------------
     let defaults = reloaded.runtime_defaults();
     println!(
-        "\ntuned runtime defaults: {} workers x {} threads, batch {}, queue {}, spawn >= {} ops",
-        defaults.workers,
-        defaults.par_threads,
-        defaults.max_batch,
-        defaults.queue_capacity,
-        defaults.spawn_threshold
+        "\ntuned runtime defaults: {} workers x {} threads, batch {}, queue {}",
+        defaults.workers, defaults.par_threads, defaults.max_batch, defaults.queue_capacity
     );
 
     let model = RepNet::new(

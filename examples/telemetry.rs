@@ -178,31 +178,6 @@ fn main() {
     println!("serve ledger : {stats}");
     println!("learn ledger : {report}");
 
-    // The scheduler mirror telescopes: the per-batch deltas added to the
-    // `pim_par_*_total` counters sum back to exactly the cumulative
-    // snapshot the matching `pim_par_pool_*` gauge holds (delta-swap
-    // mirroring is lossless, here and under concurrent workers alike).
-    for (counter_name, gauge_name) in [
-        ("pim_par_steals_total", "pim_par_pool_steals"),
-        ("pim_par_parks_total", "pim_par_pool_parks"),
-        ("pim_par_splits_total", "pim_par_pool_splits"),
-    ] {
-        let total = telemetry
-            .registry
-            .counter_with(counter_name, "scheduler activity", &[])
-            .value();
-        let snapshot = telemetry
-            .registry
-            .gauge_with(gauge_name, "scheduler activity", &[])
-            .value();
-        assert_eq!(
-            total.to_bits(),
-            snapshot.to_bits(),
-            "{counter_name} drifted from {gauge_name}"
-        );
-        println!("scheduler mirror: {counter_name} == {gauge_name} == {total}");
-    }
-
     println!("\n--- Prometheus exposition ---");
     print!("{}", telemetry.registry.render_prometheus());
 

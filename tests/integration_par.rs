@@ -60,11 +60,13 @@ fn parallel_predict_is_bit_exact_with_serial() {
     let mut serial = PeRepNet::compile(&mut model_s).expect("compile");
     let mut model_p = model.clone();
     let mut parallel = serial.clone();
-    parallel.attach_pool(Arc::new(WorkPool::with_forced_threads(4)));
+    let pool = Arc::new(WorkPool::with_forced_threads(4));
+    parallel.attach_pool(Arc::clone(&pool));
 
     let x = tiny_batch(8);
     let (logits_s, stats_s) = serial.predict(&mut model_s, &x);
     let (logits_p, stats_p) = parallel.predict(&mut model_p, &x);
+    let first = pool.counters();
 
     assert_eq!(
         logit_bits(&logits_s),
@@ -77,6 +79,30 @@ fn parallel_predict_is_bit_exact_with_serial() {
         parallel.cumulative_stats(),
         "cumulative per-tile ledgers must agree bit-exactly"
     );
+
+    // The forced-wide pool dispatches every multi-index grid of the
+    // forward pass, and each executed index is counted exactly once: the
+    // second, identical pass ran exactly as many indices as the first.
+    let (logits_p2, _) = parallel.predict(&mut model_p, &x);
+    assert_eq!(logit_bits(&logits_p), logit_bits(&logits_p2));
+    let c = pool.counters();
+    assert!(first.jobs > 0, "a forced 4-wide pool must dispatch");
+    let ran = |c: pim_par::PoolCounters| c.caller_tasks + c.worker_tasks;
+    assert!(
+        ran(first) >= 2 * first.jobs,
+        "dispatched grids have >= 2 indices"
+    );
+    assert_eq!(c.jobs, 2 * first.jobs);
+    assert_eq!(ran(c), 2 * ran(first));
+    // And on grids the test dispatches itself, the executed count equals
+    // the dispatched count exactly.
+    let grids = [2usize, 3, 7, 64, 257];
+    for &tasks in &grids {
+        pool.run(tasks, |_| {});
+    }
+    let after = pool.counters();
+    assert_eq!(after.jobs - c.jobs, grids.len() as u64);
+    assert_eq!(ran(after) - ran(c), grids.iter().sum::<usize>() as u64);
 }
 
 #[test]
@@ -91,9 +117,6 @@ fn runtime_threads_1_and_4_serve_identical_answers() {
             .queue_capacity(32)
             .max_batch(4)
             .max_wait(Duration::from_millis(20))
-            // An eager threshold so a genuinely wide pool must dispatch
-            // even this tiny model's fan-outs.
-            .spawn_threshold(1)
             .par_threads(par_threads);
         let id = builder.register(CompiledModel::compile("tiny", &model).expect("compile"));
         let runtime = builder.start();
@@ -129,35 +152,17 @@ fn runtime_threads_1_and_4_serve_identical_answers() {
     // actually fanned work out (and the caller always participates) —
     // unless the host has a single core, where the requested width
     // degrades to the pure-inline path with no dispatch at all.
+    assert_eq!(serial_counters.jobs, 0, "a serial pool never dispatches");
     assert_eq!(serial_counters.worker_tasks, 0);
-    // A serial pool has no deques: nothing to steal, split, or park on.
-    assert_eq!(
-        (
-            serial_counters.steals,
-            serial_counters.parks,
-            serial_counters.splits
-        ),
-        (0, 0, 0),
-        "serial pool must never touch the work-stealing machinery"
-    );
     if cores >= 2 {
         assert!(parallel_counters.jobs > 0, "no parallel jobs ran");
         assert!(
             parallel_counters.caller_tasks + parallel_counters.worker_tasks > 0,
             "jobs ran but no tasks were attributed"
         );
-        // Stolen work only exists as split-off ranges: a steal without a
-        // recorded split would mean the deques invented tasks.
-        if parallel_counters.steals > 0 {
-            assert!(
-                parallel_counters.splits > 0,
-                "steals require split-off ranges to exist"
-            );
-        }
     } else {
         assert_eq!(parallel_counters.jobs, 0, "clamped pool must not dispatch");
         assert_eq!(parallel_counters.worker_tasks, 0);
-        assert_eq!(parallel_counters.steals, 0);
         assert!(parallel_counters.inline_jobs > 0, "inline path must run");
     }
 }
