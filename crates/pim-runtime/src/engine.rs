@@ -1,5 +1,5 @@
-//! The serving engine: lock-free sharded admission queue, batcher, worker
-//! pool.
+//! The serving engine: builder, worker pool, and the submit and serve
+//! paths around the one-lock admission queue and batcher (`queue.rs`).
 
 use crate::compiled::{CompiledModel, ModelReplica};
 use crate::error::RuntimeError;
@@ -11,15 +11,10 @@ use pim_nn::layers::predictions;
 use pim_nn::tensor::Tensor;
 use pim_par::{PoolCounters, WorkPool};
 use pim_telemetry::Telemetry;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Backstop for every idle worker park: all waits are timed, so a wakeup
-/// lost to the lock-free submit/park race costs at most this much latency
-/// (never liveness) before the worker re-polls the rings.
-const IDLE_POLL: Duration = Duration::from_millis(5);
 
 /// When a worker dispatches a batch instead of waiting for more riders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,11 +241,7 @@ impl RuntimeBuilder {
         let model_count = slots.len();
         let shared = Arc::new(Shared {
             pool,
-            queue: AdmissionQueue::new(self.config.queue_capacity, model_count),
-            batch: DynamicBatchPolicy::new(self.config.batch),
-            quotas: (0..model_count)
-                .map(|_| AtomicUsize::new(usize::MAX))
-                .collect(),
+            queue: AdmissionQueue::new(self.config.queue_capacity, model_count, self.config.batch),
             config: self.config.clone(),
             stats: StatsCollector::new(),
             models: Mutex::new(slots),
@@ -287,41 +278,6 @@ impl RuntimeBuilder {
     }
 }
 
-/// The live batching policy: [`RuntimeConfig::batch`] seeds it, and
-/// [`Runtime::set_batch_policy`] retunes it while serving (a governor
-/// widening coalescing under pressure). Workers read it at every batch
-/// boundary, so a change applies from the next collected batch on.
-#[derive(Debug)]
-struct DynamicBatchPolicy {
-    max_batch: AtomicUsize,
-    max_wait_ns: AtomicU64,
-}
-
-impl DynamicBatchPolicy {
-    fn new(policy: BatchPolicy) -> Self {
-        Self {
-            max_batch: AtomicUsize::new(policy.max_batch.max(1)),
-            max_wait_ns: AtomicU64::new(policy.max_wait.as_nanos().min(u64::MAX as u128) as u64),
-        }
-    }
-
-    fn load(&self) -> BatchPolicy {
-        BatchPolicy {
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            max_wait: Duration::from_nanos(self.max_wait_ns.load(Ordering::Relaxed)),
-        }
-    }
-
-    fn store(&self, policy: BatchPolicy) {
-        self.max_batch
-            .store(policy.max_batch.max(1), Ordering::Relaxed);
-        self.max_wait_ns.store(
-            policy.max_wait.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-    }
-}
-
 /// One registered serving slot. The [`ModelId`] handed to clients indexes
 /// this table; hot swaps replace `model` in place and bump `version`, so
 /// the id stays valid across publishes.
@@ -335,16 +291,10 @@ struct ModelSlot {
 struct Shared {
     /// The intra-request compute pool every replica fans out over.
     pool: Arc<WorkPool>,
-    /// Lock-free admission: packed `closed|depth` word, per-model MPMC
-    /// rings, one condvar wake path (see `queue.rs`).
+    /// Admission and batching under one lock: the closed flag, per-model
+    /// FIFOs, per-model quotas and the live batching policy (`config.batch`
+    /// is only its initial value). See `queue.rs`.
     queue: AdmissionQueue,
-    /// The live (retunable) batching policy; `config.batch` is only the
-    /// initial value.
-    batch: DynamicBatchPolicy,
-    /// Per-model admission quotas (`usize::MAX` = unlimited), indexed by
-    /// [`ModelId`]. A submit for a slot at or over its quota fails fast
-    /// with [`RuntimeError::Throttled`].
-    quotas: Vec<AtomicUsize>,
     config: RuntimeConfig,
     stats: StatsCollector,
     /// The serving model table (RCU write side). Locked briefly by
@@ -488,7 +438,7 @@ impl Runtime {
     /// The batching policy workers currently dispatch under (the builder's
     /// value until [`set_batch_policy`](Self::set_batch_policy) retunes it).
     pub fn batch_policy(&self) -> BatchPolicy {
-        self.shared.batch.load()
+        self.shared.queue.policy()
     }
 
     /// Retunes the live batching policy (min 1 rider). Workers pick the
@@ -498,9 +448,7 @@ impl Runtime {
     /// what lets a governor widen coalescing under pressure without
     /// touching served results.
     pub fn set_batch_policy(&self, policy: BatchPolicy) {
-        self.shared.batch.store(policy);
-        // Wake coalescing workers so a shortened max_wait applies promptly.
-        self.shared.queue.wake_all();
+        self.shared.queue.set_policy(policy);
     }
 
     /// Sets (or with `None` clears) the admission quota of one model slot:
@@ -516,13 +464,15 @@ impl Runtime {
         model: ModelId,
         quota: Option<usize>,
     ) -> Result<(), RuntimeError> {
-        let cell = self
+        if self
             .shared
-            .quotas
-            .get(model.0)
-            .ok_or(RuntimeError::UnknownModel { id: model })?;
-        cell.store(quota.unwrap_or(usize::MAX), Ordering::Relaxed);
-        Ok(())
+            .queue
+            .set_quota(model.0, quota.unwrap_or(usize::MAX))
+        {
+            Ok(())
+        } else {
+            Err(RuntimeError::UnknownModel { id: model })
+        }
     }
 
     /// Queued-but-undispatched requests per model slot, in registration
@@ -604,42 +554,40 @@ impl Runtime {
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        // Lock-free admission: one CAS reserves a depth slot (checking
-        // closed and capacity atomically), a second CAS takes the model's
-        // quota. Precedence matches the old locked queue exactly:
-        // closed > capacity > quota.
-        let quota = self.shared.quotas[model.0].load(Ordering::Relaxed);
-        match self.shared.queue.try_admit(model.0, quota) {
-            Ok(()) => {}
-            Err(AdmitError::Closed) => return Err(RuntimeError::ShuttingDown),
-            Err(AdmitError::Full) => {
-                self.shared.stats.record_rejection();
-                if let Some(tel) = &self.shared.telemetry {
-                    tel.rejected_total.inc();
-                }
-                return Err(RuntimeError::QueueFull {
-                    capacity: self.shared.config.queue_capacity,
-                });
-            }
-            Err(AdmitError::Throttled) => {
-                self.shared.stats.record_rejection();
-                if let Some(tel) = &self.shared.telemetry {
-                    tel.throttled_total.inc();
-                }
-                return Err(RuntimeError::Throttled { model, quota });
-            }
-        }
-        self.shared.queue.publish(QueuedRequest {
+        let admitted = self.shared.queue.admit(QueuedRequest {
             id,
             model,
             input: normalized,
             enqueued: Instant::now(),
             reply: tx,
         });
-        if let Some(tel) = &self.shared.telemetry {
-            tel.queue_depth.set(self.shared.queue.depth() as f64);
+        // Rejections are counted after the queue lock is released.
+        let telemetry = self.shared.telemetry.as_ref();
+        match admitted {
+            Ok(depth) => {
+                if let Some(tel) = telemetry {
+                    tel.queue_depth.set(depth as f64);
+                }
+                Ok(Ticket { request_id: id, rx })
+            }
+            Err(AdmitError::Closed) => Err(RuntimeError::ShuttingDown),
+            Err(AdmitError::Full) => {
+                self.shared.stats.record_rejection();
+                if let Some(tel) = telemetry {
+                    tel.rejected_total.inc();
+                }
+                Err(RuntimeError::QueueFull {
+                    capacity: self.shared.config.queue_capacity,
+                })
+            }
+            Err(AdmitError::Throttled { quota }) => {
+                self.shared.stats.record_rejection();
+                if let Some(tel) = telemetry {
+                    tel.throttled_total.inc();
+                }
+                Err(RuntimeError::Throttled { model, quota })
+            }
         }
-        Ok(Ticket { request_id: id, rx })
     }
 
     /// Convenience: submit and block for the response.
@@ -666,9 +614,9 @@ impl Runtime {
     }
 
     fn close_and_join(&mut self) {
-        // Atomically refuse all future admissions; requests already
-        // admitted stay in the rings and workers drain them before
-        // exiting (every outstanding ticket still gets an answer).
+        // Refuse all future admissions; requests already admitted stay
+        // queued and workers drain them before exiting (every outstanding
+        // ticket still gets an answer).
         self.shared.queue.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -698,9 +646,12 @@ fn worker_loop(shared: &Shared, replicas: &mut [(u64, ModelReplica)], worker: us
     // so start from 0 and let the version check sort out staleness.
     let mut seen_epoch = 0;
     let mut scratch = WorkerScratch::default();
-    while let Some((batch, formed)) = collect_batch(shared, worker) {
+    while let Some(batch) = shared.queue.next_batch(worker) {
+        if let Some(tel) = &shared.telemetry {
+            tel.queue_depth.set(batch.depth as f64);
+        }
         refresh_replicas(shared, replicas, &mut seen_epoch);
-        serve_batch(shared, replicas, batch, formed, &mut scratch);
+        serve_batch(shared, replicas, batch.requests, batch.formed, &mut scratch);
     }
 }
 
@@ -723,66 +674,6 @@ fn refresh_replicas(shared: &Shared, replicas: &mut [(u64, ModelReplica)], seen_
     *seen_epoch = epoch;
 }
 
-/// Pops a seed request and coalesces riders from the same model ring up
-/// to `max_batch` / `max_wait`. Returns the batch paired with the instant
-/// its seed was popped (start of batch formation), or `None` when the
-/// queue is closed and fully drained.
-///
-/// Sharding the queue per model made compatibility structural: submit
-/// normalizes every input to the model's exact `[1, C, H, W]` shape, so
-/// the seed's own ring holds nothing but compatible riders — the old
-/// O(queue) compatible-scan became a FIFO pop.
-fn collect_batch(shared: &Shared, worker: usize) -> Option<(Vec<QueuedRequest>, Instant)> {
-    loop {
-        // Read the live policy at each seed attempt: retunes apply at the
-        // next boundary, never mid-coalesce.
-        let policy = shared.batch.load();
-        // Stagger the seed scan by worker index so concurrent workers
-        // start on different model rings instead of contending on one.
-        if let Some(first) = shared.queue.pop_any(worker) {
-            let model = first.model.index();
-            let formed = Instant::now();
-            let mut batch = vec![first];
-            let deadline = formed + policy.max_wait;
-            loop {
-                while batch.len() < policy.max_batch {
-                    match shared.queue.pop_model(model) {
-                        Some(rider) => batch.push(rider),
-                        None => break,
-                    }
-                }
-                if batch.len() >= policy.max_batch || shared.queue.closed() {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                // Park until a submit lands (or the batching deadline);
-                // the pre-check inside `wait_for_work` closes the race
-                // with a publish that beat the registration.
-                shared
-                    .queue
-                    .wait_for_work((deadline - now).min(IDLE_POLL), || {
-                        shared.queue.model_depth(model) > 0 || shared.queue.closed()
-                    });
-            }
-            if let Some(tel) = &shared.telemetry {
-                tel.queue_depth.set(shared.queue.depth() as f64);
-            }
-            return Some((batch, formed));
-        }
-        if shared.queue.closed() && shared.queue.depth() == 0 {
-            return None;
-        }
-        // Idle: park on the single wake path. Timed regardless, so a
-        // wakeup lost to the lock-free submit race costs one IDLE_POLL.
-        shared.queue.wait_for_work(IDLE_POLL, || {
-            shared.queue.depth() > 0 || shared.queue.closed()
-        });
-    }
-}
-
 fn serve_batch(
     shared: &Shared,
     replicas: &mut [(u64, ModelReplica)],
@@ -794,7 +685,8 @@ fn serve_batch(
     let model = batch[0].model;
     // Stack inputs directly into the worker's staging buffer (one copy,
     // no per-request clones) and lend it to a Tensor for the forward
-    // pass; `compatible` guaranteed the riders share one shape.
+    // pass. Riders come from one model's FIFO and submit normalized them
+    // to its `[1, C, H, W]`, so they share one shape.
     let mut data = std::mem::take(&mut scratch.staging);
     data.clear();
     let mut shape = batch[0].input.shape().to_vec();

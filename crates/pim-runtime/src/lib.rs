@@ -42,6 +42,8 @@
 //! See `examples/serving.rs` for an end-to-end tour and
 //! `examples/telemetry.rs` for the instrumented one.
 
+#![forbid(unsafe_code)]
+
 mod compiled;
 mod engine;
 mod error;

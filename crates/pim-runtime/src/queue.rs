@@ -1,324 +1,224 @@
-//! Lock-free sharded admission queue.
+//! The admission queue: all admission and batching state behind one
+//! `Mutex`, plus the one `Condvar` workers park on.
 //!
-//! Replaces the global `Mutex<VecDeque>` on the submit path: admission is
-//! one CAS on a packed `closed|depth` word (capacity and shutdown checked
-//! atomically, so the accepted/rejected ledger conserves even against a
-//! racing close), per-model quotas are CAS loops on plain counters, and
-//! accepted requests land in per-model bounded MPMC rings — Vyukov-style
-//! sequence-numbered slots, multi-producer (any submitting thread) and
-//! multi-consumer (any serving worker).
+//! Accepted requests sit in per-model FIFOs. `submit` normalizes every
+//! input to the model's exact `[1, C, H, W]` shape, so two requests for one
+//! model are always batch-compatible: a worker that takes a seed from a
+//! model's FIFO takes its riders from the *same FIFO's front* — no scan for
+//! compatible requests over a mixed queue.
 //!
-//! Sharding is **per model**, not per worker: `submit` normalizes every
-//! input to the model's exact `[1, C, H, W]` shape, so two requests for
-//! one model are always batch-compatible. A worker that pops a seed from
-//! a model's ring can therefore take riders from the *same ring's head*
-//! with plain FIFO pops — no compatibility scan over a mixed queue, and no
-//! risk of incompatible requests stranding in a worker-private shard.
-//!
-//! Waiting stays on a single condvar wake path: submitters notify only
-//! when `sleepers` says a worker is actually parked, and workers always
-//! wait *timed* (bounded by the batching deadline or a poll quantum), so
-//! a theoretically lost wakeup costs latency, never liveness.
+//! The closed flag, the capacity and quota checks, and the live batching
+//! policy are all read under the lock the FIFOs change under. An admission
+//! racing `close` is therefore either queued (and drained) or refused, and
+//! a worker that checks its wake condition under the lock cannot miss the
+//! notify that changes it, so idle workers wait untimed.
 
+use crate::engine::BatchPolicy;
 use crate::request::QueuedRequest;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
-/// High bit of the packed admission word: the queue is closed.
-const CLOSED: u64 = 1 << 63;
-/// Low bits: accepted-but-undispatched request count.
-const DEPTH: u64 = CLOSED - 1;
-
-/// Why an admission was refused, in the same precedence order the old
-/// locked queue checked: closed, then capacity, then per-model quota.
+/// Why an admission was refused, in precedence order: closed, then
+/// capacity, then the model's quota.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AdmitError {
     Closed,
     Full,
-    Throttled,
+    /// The model already has `quota` requests queued.
+    Throttled {
+        quota: usize,
+    },
 }
 
-/// One slot of a [`Ring`]: a sequence number gating ownership plus the
-/// payload cell it guards.
-struct Slot {
-    /// Vyukov sequencing: `seq == pos` → free for the push claiming `pos`;
-    /// `seq == pos + 1` → holds the value pushed at `pos`, free for the
-    /// pop claiming `pos`; after that pop, `seq = pos + capacity`.
-    seq: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<QueuedRequest>>,
+/// One coalesced batch, as handed to a worker.
+pub(crate) struct Batch {
+    /// The seed, then its riders in submit order; all for one model.
+    pub(crate) requests: Vec<QueuedRequest>,
+    /// When the seed was taken (start of batch formation).
+    pub(crate) formed: Instant,
+    /// Requests still queued once the batch was taken (queue-depth gauge).
+    pub(crate) depth: usize,
 }
 
-/// A bounded multi-producer multi-consumer FIFO ring (Vyukov's design,
-/// std-only). Capacity is a power of two, at least the admission
-/// capacity, so a push that passed admission can never find the ring full
-/// — `push` spins only on the sub-microsecond window between a competing
-/// push's claim and its publish.
-struct Ring {
-    mask: usize,
-    /// Next pop position.
-    head: AtomicUsize,
-    /// Next push position.
-    tail: AtomicUsize,
-    slots: Box<[Slot]>,
+struct State {
+    closed: bool,
+    /// Accepted-but-undispatched requests, one FIFO per model.
+    per_model: Vec<VecDeque<QueuedRequest>>,
+    /// Per-model admission quotas (`usize::MAX` = unlimited).
+    quotas: Vec<usize>,
+    /// The live batching policy, read once per batch at its seed.
+    policy: BatchPolicy,
 }
 
-// SAFETY: slots transfer `QueuedRequest` values between threads with the
-// seq acquire/release handshake providing the necessary ordering; the
-// payload type only needs to be Send (it is: tensors, instants, and an
-// mpsc::Sender).
-unsafe impl Send for Ring {}
-unsafe impl Sync for Ring {}
-
-impl Ring {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(2).next_power_of_two();
-        Self {
-            mask: capacity - 1,
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
-            slots: (0..capacity)
-                .map(|i| Slot {
-                    seq: AtomicUsize::new(i),
-                    value: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
-        }
+impl State {
+    fn depth(&self) -> usize {
+        self.per_model.iter().map(VecDeque::len).sum()
     }
 
-    /// Enqueues `value`. The caller must hold an admission reservation
-    /// (global depth < capacity ≤ ring capacity), which rules out a full
-    /// ring; the only spin is racing another push's claim/publish window.
-    fn push(&self, value: QueuedRequest) {
-        let mut pos = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos
-                && self
-                    .tail
-                    .compare_exchange_weak(pos, pos + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-            {
-                // SAFETY: winning the tail CAS at `pos` gives exclusive
-                // write access to this slot until `seq` is bumped.
-                unsafe { (*slot.value.get()).write(value) };
-                slot.seq.store(pos + 1, Ordering::Release);
-                return;
-            }
-            std::hint::spin_loop();
-            pos = self.tail.load(Ordering::Relaxed);
-        }
-    }
-
-    /// Dequeues the oldest published request, or `None` when the ring has
-    /// no *published* entries (a claimed-but-unpublished push reads as
-    /// empty; callers treat global depth as the liveness signal and
-    /// re-poll).
-    fn pop(&self) -> Option<QueuedRequest> {
-        let mut pos = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let published = pos.wrapping_add(1);
-            if seq == published {
-                if self
-                    .head
-                    .compare_exchange_weak(pos, pos + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    // SAFETY: winning the head CAS at `pos` gives exclusive
-                    // read access to the value published at `pos`.
-                    let value = unsafe { (*slot.value.get()).assume_init_read() };
-                    slot.seq
-                        .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
-                    return Some(value);
-                }
-                pos = self.head.load(Ordering::Relaxed);
-            } else if seq < published {
-                return None;
-            } else {
-                pos = self.head.load(Ordering::Relaxed);
-            }
-        }
+    /// Pops the front of the first non-empty model FIFO, scanning
+    /// round-robin from `start` so no model starves behind a busy one.
+    fn pop_seed(&mut self, start: usize) -> Option<QueuedRequest> {
+        let models = self.per_model.len();
+        (0..models).find_map(|k| self.per_model[(start + k) % models].pop_front())
     }
 }
 
-impl Drop for Ring {
-    fn drop(&mut self) {
-        // Drop any undelivered requests so their reply senders disconnect.
-        while self.pop().is_some() {}
+/// `max_batch` floored at 1, `max_wait` capped at `u64::MAX` ns so a
+/// batching deadline never overflows `Instant`.
+fn sanitized(policy: BatchPolicy) -> BatchPolicy {
+    BatchPolicy {
+        max_batch: policy.max_batch.max(1),
+        max_wait: policy.max_wait.min(Duration::from_nanos(u64::MAX)),
     }
 }
 
-/// The admission queue: packed atomic admission state, per-model rings,
-/// and the single condvar workers park on.
+/// The bounded admission queue and batcher shared by `submit` and the
+/// serving workers.
 pub(crate) struct AdmissionQueue {
-    /// `CLOSED | depth`: one word so admission observes capacity and
-    /// shutdown atomically.
-    state: AtomicU64,
     capacity: usize,
-    rings: Vec<Ring>,
-    /// Accepted-but-undispatched requests per model (quota + pressure
-    /// readout), kept in lockstep with the rings.
-    per_model: Vec<AtomicUsize>,
-    /// Workers currently parked on `available` (submitters skip the
-    /// notify entirely while this is zero).
-    sleepers: AtomicUsize,
-    wake: Mutex<()>,
+    state: Mutex<State>,
     available: Condvar,
 }
 
 impl AdmissionQueue {
-    pub(crate) fn new(capacity: usize, models: usize) -> Self {
+    pub(crate) fn new(capacity: usize, models: usize, policy: BatchPolicy) -> Self {
+        let capacity = capacity.max(1);
         Self {
-            state: AtomicU64::new(0),
-            capacity: capacity.max(1),
-            rings: (0..models).map(|_| Ring::new(capacity.max(1))).collect(),
-            per_model: (0..models).map(|_| AtomicUsize::new(0)).collect(),
-            sleepers: AtomicUsize::new(0),
-            wake: Mutex::new(()),
+            capacity,
+            state: Mutex::new(State {
+                closed: false,
+                // Each FIFO is sized for the whole capacity up front, so
+                // `admit` never reallocates while holding the lock.
+                per_model: (0..models)
+                    .map(|_| VecDeque::with_capacity(capacity))
+                    .collect(),
+                quotas: vec![usize::MAX; models],
+                policy: sanitized(policy),
+            }),
             available: Condvar::new(),
         }
     }
 
-    /// Reserves one admission slot for `model`, enforcing (in order)
-    /// closed, global capacity, and the model's quota. On success the
-    /// caller **must** follow with [`publish`](Self::publish); depth and
-    /// the per-model count already include the reservation.
-    pub(crate) fn try_admit(&self, model: usize, quota: usize) -> Result<(), AdmitError> {
-        let mut state = self.state.load(Ordering::SeqCst);
-        loop {
-            if state & CLOSED != 0 {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("queue lock")
+    }
+
+    /// Queues `request` unless the queue is closed, full, or the request's
+    /// model is at its quota (checked in that order), then wakes the
+    /// workers. Returns the queue depth including the new request.
+    pub(crate) fn admit(&self, request: QueuedRequest) -> Result<usize, AdmitError> {
+        let depth = {
+            let mut state = self.lock();
+            if state.closed {
                 return Err(AdmitError::Closed);
             }
-            if (state & DEPTH) as usize >= self.capacity {
+            let depth = state.depth();
+            if depth >= self.capacity {
                 return Err(AdmitError::Full);
             }
-            match self.state.compare_exchange_weak(
-                state,
-                state + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => break,
-                Err(cur) => state = cur,
+            let model = request.model.index();
+            let quota = state.quotas[model];
+            if state.per_model[model].len() >= quota {
+                return Err(AdmitError::Throttled { quota });
             }
-        }
-        let count = &self.per_model[model];
-        let mut queued = count.load(Ordering::Relaxed);
+            state.per_model[model].push_back(request);
+            depth + 1
+        };
+        self.available.notify_all();
+        Ok(depth)
+    }
+
+    /// Takes the next batch for `worker`, waiting while the queue is open
+    /// and empty; `None` once it is closed and drained.
+    ///
+    /// The seed comes from the first non-empty model FIFO, scanning
+    /// round-robin from the worker index so concurrent workers start on
+    /// different models. Riders come from the front of the seed's FIFO up
+    /// to `max_batch`; a non-full batch waits for more until `max_wait`
+    /// after the seed was taken, or until the queue closes.
+    pub(crate) fn next_batch(&self, worker: usize) -> Option<Batch> {
+        let mut state = self.lock();
+        let seed = loop {
+            if let Some(seed) = state.pop_seed(worker) {
+                break seed;
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.available.wait(state).expect("queue lock");
+        };
+        let formed = Instant::now();
+        let policy = state.policy;
+        let deadline = formed + policy.max_wait;
+        let model = seed.model.index();
+        let mut requests = vec![seed];
         loop {
-            if queued >= quota {
-                // Roll the depth reservation back; the request was never
-                // visible to workers.
-                self.state.fetch_sub(1, Ordering::SeqCst);
-                return Err(AdmitError::Throttled);
+            let fifo = &mut state.per_model[model];
+            let take = (policy.max_batch - requests.len()).min(fifo.len());
+            requests.extend(fifo.drain(..take));
+            if requests.len() >= policy.max_batch || state.closed {
+                break;
             }
-            match count.compare_exchange_weak(
-                queued,
-                queued + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ok(()),
-                Err(cur) => queued = cur,
+            let now = Instant::now();
+            if now >= deadline {
+                break;
             }
+            state = self
+                .available
+                .wait_timeout(state, deadline - now)
+                .expect("queue lock")
+                .0;
         }
+        Some(Batch {
+            requests,
+            formed,
+            depth: state.depth(),
+        })
     }
 
-    /// Publishes an admitted request into its model's ring and wakes a
-    /// parked worker if any.
-    pub(crate) fn publish(&self, request: QueuedRequest) {
-        let model = request.model.index();
-        self.rings[model].push(request);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            // Lock-then-notify pairs with the workers' register-then-check
-            // parking protocol; see `wait_for_work`.
-            let _guard = self.wake.lock().expect("queue wake lock");
-            self.available.notify_all();
-        }
+    /// Stops all future admissions and wakes every worker. Requests
+    /// admitted before the close stay queued and are drained.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.available.notify_all();
     }
 
-    /// Pops a seed request, scanning the model rings round-robin from
-    /// `start` so no model starves behind a busy neighbour.
-    pub(crate) fn pop_any(&self, start: usize) -> Option<QueuedRequest> {
-        let models = self.rings.len();
-        for k in 0..models {
-            let m = (start + k) % models;
-            if let Some(req) = self.rings[m].pop() {
-                self.per_model[m].fetch_sub(1, Ordering::AcqRel);
-                self.state.fetch_sub(1, Ordering::SeqCst);
-                return Some(req);
-            }
-        }
-        None
-    }
-
-    /// Pops the oldest queued request of one model (batch riders).
-    pub(crate) fn pop_model(&self, model: usize) -> Option<QueuedRequest> {
-        let req = self.rings[model].pop()?;
-        self.per_model[model].fetch_sub(1, Ordering::AcqRel);
-        self.state.fetch_sub(1, Ordering::SeqCst);
-        Some(req)
+    pub(crate) fn closed(&self) -> bool {
+        self.lock().closed
     }
 
     /// Accepted-but-undispatched request count.
     pub(crate) fn depth(&self) -> usize {
-        (self.state.load(Ordering::SeqCst) & DEPTH) as usize
+        self.lock().depth()
     }
 
-    /// Queued requests for one model (includes reservations whose publish
-    /// is still in flight).
-    pub(crate) fn model_depth(&self, model: usize) -> usize {
-        self.per_model[model].load(Ordering::Relaxed)
-    }
-
-    /// Per-model queued counts, in registration order.
+    /// Queued requests per model, in registration order.
     pub(crate) fn per_model(&self) -> Vec<usize> {
-        self.per_model
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+        self.lock().per_model.iter().map(VecDeque::len).collect()
     }
 
-    pub(crate) fn closed(&self) -> bool {
-        self.state.load(Ordering::SeqCst) & CLOSED != 0
+    pub(crate) fn policy(&self) -> BatchPolicy {
+        self.lock().policy
     }
 
-    /// Atomically stops all future admissions and wakes every parked
-    /// worker. Requests admitted before the close stay queued (depth > 0)
-    /// and will be drained.
-    pub(crate) fn close(&self) {
-        self.state.fetch_or(CLOSED, Ordering::SeqCst);
-        self.wake_all();
-    }
-
-    /// Wakes every parked worker (policy retunes, shutdown).
-    pub(crate) fn wake_all(&self) {
-        let _guard = self.wake.lock().expect("queue wake lock");
+    /// Replaces the batching policy and wakes every worker. Each worker
+    /// reads it at its next seed; a batch already being coalesced keeps
+    /// the policy it was seeded under.
+    pub(crate) fn set_policy(&self, policy: BatchPolicy) {
+        self.lock().policy = sanitized(policy);
         self.available.notify_all();
     }
 
-    /// Parks until woken or `timeout`, unless `has_work` already holds.
-    /// The sleeper registers **before** checking, and submitters that see
-    /// the registration notify under the same lock the check runs under —
-    /// so a publish racing the check either flips `has_work` or finds the
-    /// sleeper. Timed regardless, so any residual race costs one timeout.
-    pub(crate) fn wait_for_work(&self, timeout: Duration, has_work: impl Fn() -> bool) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        let guard = self.wake.lock().expect("queue wake lock");
-        if !has_work() {
-            drop(
-                self.available
-                    .wait_timeout(guard, timeout)
-                    .expect("queue wake lock"),
-            );
-        } else {
-            drop(guard);
+    /// Sets one model's quota; `false` if `model` is out of range.
+    pub(crate) fn set_quota(&self, model: usize, quota: usize) -> bool {
+        match self.lock().quotas.get_mut(model) {
+            Some(cell) => {
+                *cell = quota;
+                true
+            }
+            None => false,
         }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -327,9 +227,9 @@ mod tests {
     use super::*;
     use crate::request::ModelId;
     use pim_nn::tensor::Tensor;
-    use std::sync::atomic::AtomicU64 as StdAtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{mpsc, Arc};
-    use std::time::Instant;
+    use std::thread;
 
     fn req(model: usize, id: u64) -> (QueuedRequest, mpsc::Receiver<crate::InferResponse>) {
         let (tx, rx) = mpsc::channel();
@@ -345,64 +245,96 @@ mod tests {
         )
     }
 
-    #[test]
-    fn admission_enforces_capacity_then_quota_then_close() {
-        let q = AdmissionQueue::new(2, 2);
-        assert_eq!(q.try_admit(0, usize::MAX), Ok(()));
-        assert_eq!(q.try_admit(1, usize::MAX), Ok(()));
-        assert_eq!(q.try_admit(0, usize::MAX), Err(AdmitError::Full));
-        // Quota failures roll the depth reservation back.
-        let q2 = AdmissionQueue::new(8, 1);
-        assert_eq!(q2.try_admit(0, 0), Err(AdmitError::Throttled));
-        assert_eq!(q2.depth(), 0);
-        q2.close();
-        assert_eq!(q2.try_admit(0, usize::MAX), Err(AdmitError::Closed));
+    fn policy(max_batch: usize, max_wait: Duration) -> BatchPolicy {
+        BatchPolicy {
+            max_batch,
+            max_wait,
+        }
+    }
+
+    fn ids(batch: &Batch) -> Vec<u64> {
+        batch.requests.iter().map(|r| r.id).collect()
     }
 
     #[test]
-    fn rings_are_fifo_per_model_and_rotation_is_fair() {
-        let q = AdmissionQueue::new(8, 2);
+    fn admission_enforces_capacity_then_quota_then_close() {
+        let q = AdmissionQueue::new(2, 2, policy(8, Duration::ZERO));
+        assert_eq!(q.admit(req(0, 0).0), Ok(1));
+        assert_eq!(q.admit(req(1, 1).0), Ok(2));
+        assert!(q.set_quota(0, 0));
+        // Capacity outranks the model's quota.
+        assert_eq!(q.admit(req(0, 2).0), Err(AdmitError::Full));
+        // Closed outranks capacity.
+        q.close();
+        assert_eq!(q.admit(req(1, 3).0), Err(AdmitError::Closed));
+        assert_eq!(q.depth(), 2);
+
+        // Quota refusals leave the depth untouched.
+        let q2 = AdmissionQueue::new(8, 1, policy(8, Duration::ZERO));
+        assert!(q2.set_quota(0, 0));
+        assert!(!q2.set_quota(1, 0), "no model 1");
+        assert_eq!(
+            q2.admit(req(0, 0).0),
+            Err(AdmitError::Throttled { quota: 0 })
+        );
+        assert_eq!(q2.depth(), 0);
+        q2.close();
+        assert_eq!(q2.admit(req(0, 1).0), Err(AdmitError::Closed));
+    }
+
+    #[test]
+    fn fifos_are_per_model_and_rotation_is_fair() {
+        let q = AdmissionQueue::new(8, 2, policy(8, Duration::ZERO));
         for (model, id) in [(0, 0), (0, 1), (1, 2)] {
-            q.try_admit(model, usize::MAX).unwrap();
-            q.publish(req(model, id).0);
+            q.admit(req(model, id).0).unwrap();
         }
         assert_eq!(q.depth(), 3);
         assert_eq!(q.per_model(), vec![2, 1]);
-        // Seed scan starting at model 1 takes model 1's head first.
-        assert_eq!(q.pop_any(1).unwrap().id, 2);
+        // Worker 1 seeds from model 1 first; model 1 has no riders.
+        let b = q.next_batch(1).unwrap();
+        assert_eq!((ids(&b), b.depth), (vec![2], 2));
         // Model-0 riders come out in submit order.
-        assert_eq!(q.pop_model(0).unwrap().id, 0);
-        assert_eq!(q.pop_model(0).unwrap().id, 1);
-        assert_eq!(q.pop_model(0).map(|r| r.id), None);
-        assert_eq!(q.depth(), 0);
+        let b = q.next_batch(1).unwrap();
+        assert_eq!((ids(&b), b.depth), (vec![0, 1], 0));
+        assert_eq!(q.per_model(), vec![0, 0]);
+        // `max_batch` caps riders; the rest stay queued in order.
+        q.set_policy(policy(1, Duration::ZERO));
+        for id in [3, 4] {
+            q.admit(req(0, id).0).unwrap();
+        }
+        assert_eq!(ids(&q.next_batch(0).unwrap()), vec![3]);
+        assert_eq!(ids(&q.next_batch(0).unwrap()), vec![4]);
+        q.close();
+        assert!(q.next_batch(0).is_none());
     }
 
     #[test]
     fn dropping_the_queue_disconnects_undelivered_tickets() {
-        let q = AdmissionQueue::new(4, 1);
-        q.try_admit(0, usize::MAX).unwrap();
+        let q = AdmissionQueue::new(4, 1, policy(8, Duration::ZERO));
         let (r, rx) = req(0, 9);
-        q.publish(r);
+        q.admit(r).unwrap();
         drop(q);
-        assert!(rx.recv().is_err(), "sender dropped with the ring");
+        assert!(rx.recv().is_err(), "sender dropped with the queue");
     }
 
     #[test]
     fn concurrent_floods_conserve_depth_exactly() {
         // N submitters × M drainers against one tiny queue: accepted ==
-        // drained, depth returns to zero, rejections never go negative.
-        let q = Arc::new(AdmissionQueue::new(16, 3));
-        let accepted = Arc::new(StdAtomicU64::new(0));
-        let drained = Arc::new(StdAtomicU64::new(0));
+        // drained, depth returns to zero.
+        let q = Arc::new(AdmissionQueue::new(
+            16,
+            3,
+            policy(4, Duration::from_micros(50)),
+        ));
+        let accepted = Arc::new(AtomicUsize::new(0));
         let submitters: Vec<_> = (0..4)
             .map(|s| {
                 let q = Arc::clone(&q);
                 let accepted = Arc::clone(&accepted);
-                std::thread::spawn(move || {
+                thread::spawn(move || {
                     for i in 0..200u64 {
                         let model = ((s + i) % 3) as usize;
-                        if q.try_admit(model, usize::MAX).is_ok() {
-                            q.publish(req(model, i).0);
+                        if q.admit(req(model, i).0).is_ok() {
                             accepted.fetch_add(1, Ordering::SeqCst);
                         }
                     }
@@ -412,19 +344,12 @@ mod tests {
         let drainers: Vec<_> = (0..2)
             .map(|d| {
                 let q = Arc::clone(&q);
-                let drained = Arc::clone(&drained);
-                std::thread::spawn(move || loop {
-                    match q.pop_any(d) {
-                        Some(_) => {
-                            drained.fetch_add(1, Ordering::SeqCst);
-                        }
-                        None => {
-                            if q.closed() && q.depth() == 0 {
-                                return;
-                            }
-                            std::hint::spin_loop();
-                        }
+                thread::spawn(move || {
+                    let mut drained = 0;
+                    while let Some(batch) = q.next_batch(d) {
+                        drained += batch.requests.len();
                     }
+                    drained
                 })
             })
             .collect();
@@ -432,14 +357,87 @@ mod tests {
             s.join().unwrap();
         }
         q.close();
-        for d in drainers {
-            d.join().unwrap();
-        }
+        let drained: usize = drainers.into_iter().map(|d| d.join().unwrap()).sum();
         assert_eq!(
             accepted.load(Ordering::SeqCst),
-            drained.load(Ordering::SeqCst),
+            drained,
             "every admitted request drained exactly once"
         );
+        assert_eq!(q.depth(), 0);
+        assert_eq!(q.per_model(), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn close_racing_admission_drains_every_accepted_request_once() {
+        // Submitters keep admitting while the queue closes under them and
+        // drainers pop batches: the accepted set is drained exactly once,
+        // and nothing is admitted once `close` has returned.
+        let q = Arc::new(AdmissionQueue::new(
+            16,
+            3,
+            policy(4, Duration::from_micros(50)),
+        ));
+        let closed = Arc::new(AtomicBool::new(false));
+        let admitted = Arc::new(AtomicUsize::new(0));
+        let submitters: Vec<_> = (0..4u64)
+            .map(|s| {
+                let q = Arc::clone(&q);
+                let closed = Arc::clone(&closed);
+                let admitted = Arc::clone(&admitted);
+                thread::spawn(move || {
+                    let mut accepted = Vec::new();
+                    for i in 0u64.. {
+                        let after_close = closed.load(Ordering::SeqCst);
+                        let id = (s << 32) | i;
+                        let result = q.admit(req(((s + i) % 3) as usize, id).0);
+                        if after_close {
+                            assert_eq!(result, Err(AdmitError::Closed));
+                        }
+                        match result {
+                            Ok(_) => {
+                                accepted.push(id);
+                                admitted.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Err(AdmitError::Closed) => break,
+                            Err(_) => thread::yield_now(),
+                        }
+                    }
+                    for _ in 0..8 {
+                        assert_eq!(q.admit(req(0, u64::MAX).0), Err(AdmitError::Closed));
+                    }
+                    accepted
+                })
+            })
+            .collect();
+        let drainers: Vec<_> = (0..2)
+            .map(|d| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    let mut drained = Vec::new();
+                    while let Some(batch) = q.next_batch(d) {
+                        drained.extend(batch.requests.iter().map(|r| r.id));
+                    }
+                    drained
+                })
+            })
+            .collect();
+        while admitted.load(Ordering::SeqCst) < 500 {
+            thread::yield_now();
+        }
+        q.close();
+        closed.store(true, Ordering::SeqCst);
+        let mut accepted: Vec<u64> = submitters
+            .into_iter()
+            .flat_map(|s| s.join().unwrap())
+            .collect();
+        let mut drained: Vec<u64> = drainers
+            .into_iter()
+            .flat_map(|d| d.join().unwrap())
+            .collect();
+        accepted.sort_unstable();
+        drained.sort_unstable();
+        assert!(accepted.len() >= 500);
+        assert_eq!(drained, accepted, "every accepted request drained once");
         assert_eq!(q.depth(), 0);
         assert_eq!(q.per_model(), vec![0, 0, 0]);
     }

@@ -96,13 +96,24 @@ impl StatsCollector {
             edp: edp(g.sim.total_energy(), g.sim.busy_time),
             macs: g.sim.macs,
             pe_matvecs: g.sim.matvecs,
-            mean_queue_wait: if g.completed == 0 {
-                Duration::ZERO
-            } else {
-                g.queue_wait_sum / g.completed as u32
-            },
+            mean_queue_wait: mean_duration(g.queue_wait_sum, g.completed),
             wall_elapsed: g.started.elapsed(),
         }
+    }
+}
+
+/// `sum / n`, or zero for `n == 0`. Divides in `u128` nanoseconds, so it
+/// stays exact past `u32::MAX` samples (where `Duration / u32` would need
+/// a truncating cast).
+fn mean_duration(sum: Duration, n: u64) -> Duration {
+    const NANOS_PER_SEC: u128 = 1_000_000_000;
+    match sum.as_nanos().checked_div(u128::from(n)) {
+        // The quotient is at most `sum`, so its seconds fit in a u64.
+        Some(nanos) => Duration::new(
+            (nanos / NANOS_PER_SEC) as u64,
+            (nanos % NANOS_PER_SEC) as u32,
+        ),
+        None => Duration::ZERO,
     }
 }
 
@@ -285,6 +296,24 @@ mod tests {
             write_retries: 0,
             write_faults: 0,
         }
+    }
+
+    #[test]
+    fn mean_duration_divides_past_u32_counts() {
+        let n = 1u64 << 32;
+        assert_eq!(
+            mean_duration(Duration::from_nanos(3 * n), n),
+            Duration::from_nanos(3)
+        );
+        assert_eq!(
+            mean_duration(Duration::from_secs(n + 1), n + 1),
+            Duration::from_secs(1)
+        );
+        assert_eq!(mean_duration(Duration::from_secs(7), 0), Duration::ZERO);
+        assert_eq!(
+            mean_duration(Duration::from_micros(40), 4),
+            Duration::from_micros(40) / 4
+        );
     }
 
     #[test]
