@@ -1,10 +1,11 @@
-//! Measures what the telemetry instrumentation costs the serving hot
+//! Measures what an attached telemetry bundle costs the serving hot
 //! path: the same single-worker runtime serving the same tiny model, once
-//! bare and once with a full [`Telemetry`] bundle attached (per-stage
-//! histograms, PE energy mirror, span tracer). The design target is <2%
-//! per-request overhead — the handles are plain atomics and the tracer a
-//! bounded ring, so the instrumented path adds a handful of atomic RMWs
-//! plus one short mutex hold per request.
+//! with no bundle attached and once with a full [`Telemetry`] bundle.
+//! Both count into the same metric handles — they are the runtime's
+//! accounting, registered on a private bundle when none is attached —
+//! so the difference is the attached tracer's retained spans (a private
+//! bundle's tracer keeps none). The design target is <2%
+//! per-request overhead.
 //!
 //! The driver keeps a window of in-flight tickets so the worker is always
 //! saturated: per-request time then reflects steady-state serving

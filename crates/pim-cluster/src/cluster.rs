@@ -8,7 +8,6 @@ use pim_nn::tensor::Tensor;
 use pim_runtime::{
     BatchPolicy, CompiledModel, InferResponse, ModelId, Runtime, RuntimeError, Telemetry, Ticket,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -108,9 +107,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Attaches a shared [`Telemetry`] bundle: each replica registers the
-    /// runtime families labelled `replica="<i>"`, and the cluster adds
-    /// its own `pim_cluster_*` families on top.
+    /// Chooses the [`Telemetry`] bundle the fleet registers on: each
+    /// replica registers the runtime families labelled `replica="<i>"`,
+    /// and the cluster adds its own `pim_cluster_*` families on top.
+    /// Without this call the fleet registers the same series on a
+    /// private bundle; [`ClusterStats`] is a view of them either way.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -137,6 +138,7 @@ impl ClusterBuilder {
             .collect();
         let input_shapes: Vec<Vec<usize>> =
             artifacts.iter().map(|a| a.input_shape().to_vec()).collect();
+        let bundle = self.telemetry.unwrap_or_else(Telemetry::private);
         let mut replicas = Vec::with_capacity(self.replicas);
         for r in 0..self.replicas {
             let mut builder = Runtime::builder()
@@ -144,29 +146,20 @@ impl ClusterBuilder {
                 .queue_capacity(self.queue_capacity)
                 .max_batch(self.max_batch)
                 .max_wait(self.max_wait)
-                .par_threads(self.par_threads);
-            if let Some(tel) = &self.telemetry {
-                builder = builder
-                    .telemetry(Arc::clone(tel))
-                    .replica_label(r.to_string());
-            }
+                .par_threads(self.par_threads)
+                .telemetry(Arc::clone(&bundle))
+                .replica_label(r.to_string());
             for artifact in &artifacts {
                 builder.register(artifact.clone());
             }
             replicas.push(builder.start());
         }
-        let telemetry = self
-            .telemetry
-            .as_ref()
-            .map(|tel| ClusterTelemetry::register(tel, replicas.len()));
+        let telemetry = ClusterTelemetry::register(bundle, replicas.len());
         Cluster {
             replicas,
             input_shapes,
             macro_groups: groups,
             router: Router::new(self.router_seed),
-            submitted: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
             telemetry,
         }
     }
@@ -227,10 +220,8 @@ pub struct Cluster {
     input_shapes: Vec<Vec<usize>>,
     macro_groups: usize,
     router: Router,
-    submitted: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    telemetry: Option<ClusterTelemetry>,
+    /// The cluster's metric handles, admission ledger included.
+    telemetry: ClusterTelemetry,
 }
 
 impl Cluster {
@@ -316,11 +307,18 @@ impl Cluster {
     /// Conserving at every instant: `submitted == accepted + rejected`
     /// once in-flight submits settle.
     pub fn admission_counts(&self) -> (u64, u64, u64) {
+        let tel = &self.telemetry;
         (
-            self.submitted.load(Ordering::Relaxed),
-            self.accepted.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
+            tel.submitted.value() as u64,
+            tel.accepted.value() as u64,
+            tel.rejected.value() as u64,
         )
+    }
+
+    /// The bundle the fleet registers its metrics on: the one passed to
+    /// [`ClusterBuilder::telemetry`], or the cluster's private one.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry.bundle
     }
 
     /// The serving slot's version on every replica, in replica order.
@@ -378,7 +376,8 @@ impl Cluster {
     ///   as a cluster rejection).
     pub fn submit(&self, model: ModelId, input: &Tensor) -> Result<ClusterTicket, ClusterError> {
         self.validate(model, input)?;
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        let tel = &self.telemetry;
+        tel.submitted.inc();
         let depths: Vec<Option<usize>> = self
             .replicas
             .iter()
@@ -386,10 +385,7 @@ impl Cluster {
             .collect();
         let mut order = Vec::with_capacity(self.replicas.len());
         self.router.plan(&depths, &mut order);
-        if let Some(tel) = &self.telemetry {
-            tel.submitted.inc();
-            tel.observe_probe(&depths);
-        }
+        tel.observe_probe(&depths);
         if order.is_empty() {
             self.reject();
             return Err(ClusterError::NoHealthyReplica);
@@ -398,11 +394,8 @@ impl Cluster {
         for ri in order {
             match self.replicas[ri].submit(model, input) {
                 Ok(ticket) => {
-                    self.accepted.fetch_add(1, Ordering::Relaxed);
-                    if let Some(tel) = &self.telemetry {
-                        tel.accepted.inc();
-                        tel.queue_depth[ri].set(self.replicas[ri].queue_depth() as f64);
-                    }
+                    tel.accepted.inc();
+                    tel.queue_depth[ri].set(self.replicas[ri].queue_depth() as f64);
                     return Ok(ClusterTicket {
                         replica: ri,
                         inner: ticket,
@@ -420,10 +413,7 @@ impl Cluster {
     }
 
     fn reject(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        if let Some(tel) = &self.telemetry {
-            tel.rejected.inc();
-        }
+        self.telemetry.rejected.inc();
     }
 
     /// Submit + wait: the blocking convenience path.
@@ -477,9 +467,7 @@ impl Cluster {
         if !verified {
             // Roll back; if even the rollback fails the runtime error wins.
             self.replicas[canary].swap_model(model, previous)?;
-            if let Some(tel) = &self.telemetry {
-                tel.canary_rejections.inc();
-            }
+            self.telemetry.canary_rejections.inc();
             return match verdict {
                 Err(e) => Err(e.into()),
                 Ok(_) => Err(ClusterError::CanaryRejected { replica: canary }),
@@ -489,9 +477,7 @@ impl Cluster {
         for r in self.replicas.iter().skip(1) {
             r.swap_model(model, artifact.clone())?;
         }
-        if let Some(tel) = &self.telemetry {
-            tel.rollouts.inc();
-        }
+        self.telemetry.rollouts.inc();
         Ok(RolloutReport {
             canary_replica: canary,
             versions: self.model_versions(model)?,
@@ -501,32 +487,24 @@ impl Cluster {
     /// A point-in-time roll-up: per-replica snapshots, their exact merge,
     /// and the cluster's admission ledger.
     pub fn stats(&self) -> ClusterStats {
-        let per_replica: Vec<_> = self.replicas.iter().map(|r| r.stats()).collect();
+        let per_replica = self.replicas.iter().map(|r| r.stats()).collect();
         self.roll_up(per_replica)
     }
 
     /// Graceful shutdown: drains every replica (all tickets get answers)
     /// and returns the final roll-up.
-    pub fn shutdown(self) -> ClusterStats {
-        let submitted = self.submitted.load(Ordering::Relaxed);
-        let accepted = self.accepted.load(Ordering::Relaxed);
-        let rejected = self.rejected.load(Ordering::Relaxed);
-        let per_replica: Vec<_> = self.replicas.into_iter().map(|r| r.shutdown()).collect();
+    pub fn shutdown(mut self) -> ClusterStats {
+        let per_replica = self.replicas.drain(..).map(|r| r.shutdown()).collect();
+        self.roll_up(per_replica)
+    }
+
+    fn roll_up(&self, per_replica: Vec<pim_runtime::RuntimeStats>) -> ClusterStats {
+        let (submitted, accepted, rejected) = self.admission_counts();
         ClusterStats::roll_up(
             per_replica,
             submitted,
             accepted,
             rejected,
-            self.macro_groups,
-        )
-    }
-
-    fn roll_up(&self, per_replica: Vec<pim_runtime::RuntimeStats>) -> ClusterStats {
-        ClusterStats::roll_up(
-            per_replica,
-            self.submitted.load(Ordering::Relaxed),
-            self.accepted.load(Ordering::Relaxed),
-            self.rejected.load(Ordering::Relaxed),
             self.macro_groups,
         )
     }

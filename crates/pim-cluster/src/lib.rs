@@ -21,12 +21,12 @@
 //! own offline reference, and only then RCU-swapped across the fleet —
 //! a diverging canary is rolled back and the fleet never sees it.
 //!
-//! Observability rolls up the same way the fleet fans out:
-//! [`ClusterStats`] merges per-replica [`pim_runtime::RuntimeStats`]
-//! exactly (pooled-sample percentiles, not percentile-of-percentiles),
-//! and with a shared [`pim_runtime::Telemetry`] bundle every runtime
-//! family is labelled `replica="<i>"` next to the cluster's own
-//! `pim_cluster_*` families.
+//! Observability rolls up the same way the fleet fans out: every
+//! runtime family is labelled `replica="<i>"` next to the cluster's own
+//! `pim_cluster_*` families in one [`pim_runtime::Telemetry`] registry
+//! (the caller's, or a private one), and [`ClusterStats`] is a view of
+//! it that merges per-replica [`pim_runtime::RuntimeStats`] exactly
+//! (bucket-wise histogram sums, not percentile-of-percentiles).
 //!
 //! ```no_run
 //! use pim_cluster::ClusterBuilder;

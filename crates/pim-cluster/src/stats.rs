@@ -6,9 +6,9 @@ use std::fmt;
 /// Point-in-time view of the whole cluster.
 ///
 /// `total` is the exact [`RuntimeStats::merge`] of every per-replica
-/// snapshot — counters add, means re-weight, and the latency percentiles
-/// are recomputed from the pooled raw samples, so they equal what one
-/// runtime serving all the traffic would have reported.
+/// snapshot — counters add, means re-weight, and the latency histograms
+/// add bucket by bucket, so the percentiles equal what one runtime
+/// serving all the traffic would have reported.
 ///
 /// Two rejection counters coexist on purpose: `total.requests_rejected`
 /// counts per-replica `QueueFull` refusals, which include the router's
@@ -25,7 +25,7 @@ use std::fmt;
 pub struct ClusterStats {
     /// One snapshot per replica, in replica-index order.
     pub per_replica: Vec<RuntimeStats>,
-    /// Exact merge of `per_replica` (pooled-sample percentiles).
+    /// Exact merge of `per_replica` (bucket-wise histogram sums).
     pub total: RuntimeStats,
     /// Requests that passed validation and entered the router.
     pub submitted: u64,

@@ -1,6 +1,6 @@
-//! Cluster-level metric families.
+//! Cluster-level metric families — the cluster's admission ledger.
 //!
-//! Registered once at cluster start under the shared
+//! Registered once at cluster start on the fleet's
 //! [`pim_telemetry::Telemetry`] bundle, alongside the per-replica runtime
 //! families (which each replica labels with `replica="<i>"` via
 //! `RuntimeBuilder::replica_label`). Handles are plain atomics; the hot
@@ -12,6 +12,8 @@ use std::sync::Arc;
 /// Handles for the cluster's own families plus per-replica gauges.
 #[derive(Debug)]
 pub(crate) struct ClusterTelemetry {
+    /// The bundle the handles live in (the governor registers on it too).
+    pub bundle: Arc<Telemetry>,
     /// Requests that passed validation and entered the router.
     pub submitted: Counter,
     /// Requests a replica accepted a ticket for.
@@ -29,7 +31,7 @@ pub(crate) struct ClusterTelemetry {
 }
 
 impl ClusterTelemetry {
-    pub fn register(bundle: &Arc<Telemetry>, replicas: usize) -> Self {
+    pub fn register(bundle: Arc<Telemetry>, replicas: usize) -> Self {
         let registry = &bundle.registry;
         let mut queue_depth = Vec::with_capacity(replicas);
         let mut healthy = Vec::with_capacity(replicas);
@@ -70,6 +72,7 @@ impl ClusterTelemetry {
             ),
             queue_depth,
             healthy,
+            bundle,
         }
     }
 
@@ -98,7 +101,7 @@ mod tests {
     #[test]
     fn families_register_per_replica_series() {
         let bundle = Telemetry::new();
-        let tel = ClusterTelemetry::register(&bundle, 3);
+        let tel = ClusterTelemetry::register(Arc::clone(&bundle), 3);
         tel.observe_probe(&[Some(2), None, Some(0)]);
         assert_eq!(tel.queue_depth[0].value(), 2.0);
         assert_eq!(tel.healthy[1].value(), 0.0);

@@ -9,7 +9,8 @@ use crate::tenant::{Priority, TenantId, TenantSlo, TenantSpec, Tier};
 use pim_cluster::{Cluster, ClusterBuilder, ClusterStats, ClusterTicket};
 use pim_nn::tensor::Tensor;
 use pim_runtime::{BatchPolicy, CompiledModel, InferResponse, Telemetry};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use pim_telemetry::{Counter, Histogram};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -51,11 +52,13 @@ impl GovernorBuilder {
         self
     }
 
-    /// Attaches a [`Telemetry`] bundle: the governor registers its
-    /// `pim_governor_*` families on it and passes the same bundle to the
-    /// cluster at [`start`](Self::start), so the whole stack renders
-    /// from one registry (which is also where the pressure sampler reads
-    /// the runtime's stage histograms).
+    /// Chooses the [`Telemetry`] bundle the stack registers on: it is
+    /// passed to the cluster at [`start`](Self::start), and the governor
+    /// registers its `pim_governor_*` families on whichever bundle the
+    /// cluster then writes (this one, the cluster builder's, or the
+    /// cluster's private one). The whole stack renders from that one
+    /// registry, which is also where the pressure sampler reads the
+    /// runtimes' stage histograms and where the per-tenant ledgers live.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -84,8 +87,8 @@ impl GovernorBuilder {
                 return Err(GovernorError::IncompatiblePair { tenant: i });
             }
         }
-        if let Some(tel) = &self.telemetry {
-            cluster = cluster.telemetry(Arc::clone(tel));
+        if let Some(tel) = self.telemetry {
+            cluster = cluster.telemetry(tel);
         }
         let names: Vec<String> = self.specs.iter().map(|s| s.name.clone()).collect();
         let tenants: Vec<TenantState> = self
@@ -99,12 +102,6 @@ impl GovernorBuilder {
                 full: spec.full,
                 degraded: spec.degraded,
                 tier: AtomicU8::new(Tier::Full.as_level()),
-                submitted: AtomicU64::new(0),
-                accepted: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                demotions: AtomicU64::new(0),
-                promotions: AtomicU64::new(0),
             })
             .collect();
         for t in &tenants {
@@ -125,16 +122,10 @@ impl GovernorBuilder {
             .fold(None, |acc: Option<f64>, s| {
                 Some(acc.map_or(s, |a: f64| a.min(s)))
             });
-        let telemetry = self
-            .telemetry
-            .as_ref()
-            .map(|tel| GovernorTelemetry::register(tel, &names));
-        if let Some(gt) = &telemetry {
-            for t in &gt.tenants {
-                t.tier.set(Tier::Full.as_level() as f64);
-            }
+        let telemetry = GovernorTelemetry::register(cluster.telemetry(), &names);
+        for t in &telemetry.tenants {
+            t.tier.set(Tier::Full.as_level() as f64);
         }
-        let bundle = self.telemetry;
         Ok(Governor {
             cluster,
             tenants,
@@ -144,20 +135,17 @@ impl GovernorBuilder {
                 sampler: PressureSampler::new(),
                 events: Vec::new(),
                 ticks: 0,
-                last_pressure: 0.0,
-                batch_wide: false,
-                deferred: 0,
             }),
             normal_batch,
             wide_batch: self.config.wide_batch,
             telemetry,
-            bundle,
         })
     }
 }
 
-/// One tenant's runtime state. Tier and the admission ledger are plain
-/// atomics so `submit` (hot, many threads) never takes the policy lock.
+/// One tenant's runtime state. The tier is a plain atomic and the
+/// admission ledger lives in the tenant's counters, so `submit` (hot,
+/// many threads) never takes the policy lock.
 #[derive(Debug)]
 struct TenantState {
     name: String,
@@ -168,12 +156,6 @@ struct TenantState {
     degraded: CompiledModel,
     /// Encoded [`Tier`] level (see [`Tier::as_level`]).
     tier: AtomicU8,
-    submitted: AtomicU64,
-    accepted: AtomicU64,
-    shed: AtomicU64,
-    rejected: AtomicU64,
-    demotions: AtomicU64,
-    promotions: AtomicU64,
 }
 
 impl TenantState {
@@ -197,11 +179,8 @@ struct PolicyState {
     ladder: Ladder,
     sampler: PressureSampler,
     events: Vec<GovernorEvent>,
+    /// Ticks taken: the stamp of each event.
     ticks: u64,
-    last_pressure: f64,
-    batch_wide: bool,
-    /// Rungs proposed but refused by the fleet (each retried next tick).
-    deferred: u64,
 }
 
 /// A ticket for a governor-admitted request. Waiting on it records the
@@ -210,8 +189,8 @@ struct PolicyState {
 pub struct GovernorTicket {
     inner: ClusterTicket,
     submitted_at: Instant,
-    latency: Option<pim_telemetry::Histogram>,
-    energy_pj: Option<pim_telemetry::Counter>,
+    latency: Histogram,
+    energy_pj: Counter,
 }
 
 impl GovernorTicket {
@@ -224,12 +203,9 @@ impl GovernorTicket {
     /// and energy telemetry.
     pub fn wait(self) -> Result<InferResponse, GovernorError> {
         let resp = self.inner.wait()?;
-        if let Some(h) = &self.latency {
-            h.observe(self.submitted_at.elapsed().as_secs_f64());
-        }
-        if let Some(c) = &self.energy_pj {
-            c.add(resp.energy.as_pj());
-        }
+        self.latency
+            .observe(self.submitted_at.elapsed().as_secs_f64());
+        self.energy_pj.add(resp.energy.as_pj());
         Ok(resp)
     }
 
@@ -237,12 +213,9 @@ impl GovernorTicket {
     /// ready (also records the tenant telemetry then).
     pub fn try_wait(&self) -> Option<InferResponse> {
         let resp = self.inner.try_wait()?;
-        if let Some(h) = &self.latency {
-            h.observe(self.submitted_at.elapsed().as_secs_f64());
-        }
-        if let Some(c) = &self.energy_pj {
-            c.add(resp.energy.as_pj());
-        }
+        self.latency
+            .observe(self.submitted_at.elapsed().as_secs_f64());
+        self.energy_pj.add(resp.energy.as_pj());
         Some(resp)
     }
 }
@@ -270,10 +243,8 @@ pub struct Governor {
     policy: Mutex<PolicyState>,
     normal_batch: BatchPolicy,
     wide_batch: BatchPolicy,
-    telemetry: Option<GovernorTelemetry>,
-    /// The shared bundle, kept so live ticks can read the runtimes'
-    /// stage histograms out of the same registry.
-    bundle: Option<Arc<Telemetry>>,
+    /// The governor's metric handles, per-tenant ledgers included.
+    telemetry: GovernorTelemetry,
 }
 
 impl Governor {
@@ -334,36 +305,24 @@ impl Governor {
                 actual: shape.to_vec(),
             });
         }
-        let tel = self.telemetry.as_ref().map(|t| &t.tenants[tenant.0]);
-        state.submitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = tel {
-            t.submitted.inc();
-        }
+        let tel = &self.telemetry.tenants[tenant.0];
+        tel.submitted.inc();
         if state.tier() == Tier::Shed {
-            state.shed.fetch_add(1, Ordering::Relaxed);
-            if let Some(t) = tel {
-                t.shed.inc();
-            }
+            tel.shed.inc();
             return Err(GovernorError::Shed { id: tenant });
         }
         match self.cluster.submit(tenant.model_id(), input) {
             Ok(ticket) => {
-                state.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = tel {
-                    t.accepted.inc();
-                }
+                tel.accepted.inc();
                 Ok(GovernorTicket {
                     inner: ticket,
                     submitted_at: Instant::now(),
-                    latency: tel.map(|t| t.latency.clone()),
-                    energy_pj: tel.map(|t| t.energy_pj.clone()),
+                    latency: tel.latency.clone(),
+                    energy_pj: tel.energy_pj.clone(),
                 })
             }
             Err(e) => {
-                state.rejected.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = tel {
-                    t.rejected.inc();
-                }
+                tel.rejected.inc();
                 Err(e.into())
             }
         }
@@ -375,18 +334,17 @@ impl Governor {
     }
 
     /// One **live** policy tick: samples pressure from the cluster's
-    /// queue depths, its admission ledger, and (when telemetry is
-    /// attached) the runtime's windowed queue-stage histograms, then
-    /// delegates to [`tick_with`](Self::tick_with).
+    /// queue depths, its admission ledger, and the runtimes' windowed
+    /// queue-stage histograms, then delegates to
+    /// [`tick_with`](Self::tick_with).
     pub fn tick(&self) -> Option<GovernorEvent> {
         let depths = self.cluster.queue_depths();
         let (submitted, _, rejected) = self.cluster.admission_counts();
         let sample = {
             // The sampler reads the same registry the runtimes write.
-            let registry = self.bundle.as_ref().map(|b| &b.registry);
             let mut policy = self.policy.lock().expect("policy lock");
             policy.sampler.sample(
-                registry,
+                &self.cluster.telemetry().registry,
                 &depths,
                 self.cluster.queue_capacity(),
                 (submitted, rejected),
@@ -411,11 +369,9 @@ impl Governor {
         let mut policy = self.policy.lock().expect("policy lock");
         policy.ticks += 1;
         let pressure = sample.score();
-        policy.last_pressure = pressure;
-        if let Some(gt) = &self.telemetry {
-            gt.ticks.inc();
-            gt.pressure.set(pressure);
-        }
+        let gt = &self.telemetry;
+        gt.ticks.inc();
+        gt.pressure.set(pressure);
         let view: Vec<LadderTenant> = self
             .tenants
             .iter()
@@ -427,124 +383,101 @@ impl Governor {
             .collect();
         let action = policy.ladder.tick(pressure, &view)?;
         let tick = policy.ticks;
-        match self.apply(&mut policy, action, tick) {
+        match self.apply(action, tick) {
             Ok(event) => {
                 policy.ladder.commit(action);
                 policy.events.push(event);
-                if let Some(gt) = &self.telemetry {
-                    gt.ladder_depth.set(policy.ladder.depth() as f64);
-                }
+                gt.ladder_depth.set(policy.ladder.depth() as f64);
                 Some(event)
             }
             Err(_refused) => {
-                policy.deferred += 1;
-                if let Some(gt) = &self.telemetry {
-                    gt.deferred.inc();
-                }
+                gt.deferred.inc();
                 None
             }
         }
     }
 
     /// Applies one rung to the live fleet.
-    fn apply(
-        &self,
-        policy: &mut PolicyState,
-        action: LadderAction,
-        tick: u64,
-    ) -> Result<GovernorEvent, GovernorError> {
+    fn apply(&self, action: LadderAction, tick: u64) -> Result<GovernorEvent, GovernorError> {
         let swap = |tenant: usize, artifact: &CompiledModel| -> Result<(), GovernorError> {
             self.cluster
                 .swap_model(TenantId(tenant).model_id(), artifact.clone())
                 .map(|_| ())
                 .map_err(GovernorError::from)
         };
+        let gt = &self.telemetry;
         Ok(match action {
             LadderAction::Demote { tenant } => {
                 swap(tenant, &self.tenants[tenant].degraded)?;
-                let t = &self.tenants[tenant];
-                t.set_tier(Tier::Degraded);
-                t.demotions.fetch_add(1, Ordering::Relaxed);
-                if let Some(gt) = &self.telemetry {
-                    gt.tenants[tenant].demotions.inc();
-                    gt.tenants[tenant]
-                        .tier
-                        .set(Tier::Degraded.as_level() as f64);
-                }
+                self.set_tier(tenant, Tier::Degraded);
+                gt.tenants[tenant].demotions.inc();
                 GovernorEvent::Demoted { tick, tenant }
             }
             LadderAction::Promote { tenant } => {
                 swap(tenant, &self.tenants[tenant].full)?;
-                let t = &self.tenants[tenant];
-                t.set_tier(Tier::Full);
-                t.promotions.fetch_add(1, Ordering::Relaxed);
-                if let Some(gt) = &self.telemetry {
-                    gt.tenants[tenant].promotions.inc();
-                    gt.tenants[tenant].tier.set(Tier::Full.as_level() as f64);
-                }
+                self.set_tier(tenant, Tier::Full);
+                gt.tenants[tenant].promotions.inc();
                 GovernorEvent::Promoted { tick, tenant }
             }
             LadderAction::WidenBatch => {
                 self.cluster.set_batch_policy(self.wide_batch);
-                policy.batch_wide = true;
-                if let Some(gt) = &self.telemetry {
-                    gt.batch_wide.set(1.0);
-                }
+                gt.batch_wide.set(1.0);
                 GovernorEvent::BatchWidened { tick }
             }
             LadderAction::RestoreBatch => {
                 self.cluster.set_batch_policy(self.normal_batch);
-                policy.batch_wide = false;
-                if let Some(gt) = &self.telemetry {
-                    gt.batch_wide.set(0.0);
-                }
+                gt.batch_wide.set(0.0);
                 GovernorEvent::BatchRestored { tick }
             }
             LadderAction::Shed { tenant } => {
                 self.cluster
                     .set_queue_quota(TenantId(tenant).model_id(), Some(0))?;
-                self.tenants[tenant].set_tier(Tier::Shed);
-                if let Some(gt) = &self.telemetry {
-                    gt.tenants[tenant].tier.set(Tier::Shed.as_level() as f64);
-                }
+                self.set_tier(tenant, Tier::Shed);
                 GovernorEvent::ShedStarted { tick, tenant }
             }
             LadderAction::Unshed { tenant } => {
                 self.cluster
                     .set_queue_quota(TenantId(tenant).model_id(), None)?;
-                self.tenants[tenant].set_tier(Tier::Degraded);
-                if let Some(gt) = &self.telemetry {
-                    gt.tenants[tenant]
-                        .tier
-                        .set(Tier::Degraded.as_level() as f64);
-                }
+                self.set_tier(tenant, Tier::Degraded);
                 GovernorEvent::ShedStopped { tick, tenant }
             }
         })
     }
 
-    /// A point-in-time snapshot: trace + per-tenant ledgers.
+    /// Moves `tenant` to `tier`: the state atomic and its gauge.
+    fn set_tier(&self, tenant: usize, tier: Tier) {
+        self.tenants[tenant].set_tier(tier);
+        self.telemetry.tenants[tenant]
+            .tier
+            .set(tier.as_level() as f64);
+    }
+
+    /// A point-in-time snapshot: trace + per-tenant ledgers, read from
+    /// the governor's metric handles.
     pub fn report(&self) -> GovernorReport {
         let policy = self.policy.lock().expect("policy lock");
+        let gt = &self.telemetry;
+        let count = |c: &Counter| c.value() as u64;
         GovernorReport {
             ticks: policy.ticks,
-            last_pressure: policy.last_pressure,
+            last_pressure: gt.pressure.value(),
             ladder_depth: policy.ladder.depth(),
-            deferred: policy.deferred,
+            deferred: count(&gt.deferred),
             events: policy.events.clone(),
             tenants: self
                 .tenants
                 .iter()
-                .map(|t| TenantReport {
+                .zip(&gt.tenants)
+                .map(|(t, tel)| TenantReport {
                     name: t.name.clone(),
                     priority: t.priority,
                     tier: t.tier(),
-                    submitted: t.submitted.load(Ordering::Relaxed),
-                    accepted: t.accepted.load(Ordering::Relaxed),
-                    shed: t.shed.load(Ordering::Relaxed),
-                    rejected: t.rejected.load(Ordering::Relaxed),
-                    demotions: t.demotions.load(Ordering::Relaxed),
-                    promotions: t.promotions.load(Ordering::Relaxed),
+                    submitted: count(&tel.submitted),
+                    accepted: count(&tel.accepted),
+                    shed: count(&tel.shed),
+                    rejected: count(&tel.rejected),
+                    demotions: count(&tel.demotions),
+                    promotions: count(&tel.promotions),
                 })
                 .collect(),
         }

@@ -23,8 +23,8 @@
 //!   hot-swap path), widen batch coalescing, then shed at admission;
 //!   recovery pops the applied rungs in **exact reverse order**.
 //! * **Per-tenant telemetry** — `pim_governor_*` families (current tier,
-//!   demotions/promotions, shed counts, latency/energy summaries) plus a
-//!   [`GovernorReport`] for tests and examples.
+//!   demotions/promotions, shed counts, latency/energy summaries); the
+//!   [`GovernorReport`] ledgers are a view of them.
 //!
 //! # Determinism contract
 //!

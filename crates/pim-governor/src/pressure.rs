@@ -14,7 +14,8 @@ pub struct PressureSample {
     /// Admission rejections this window / submissions this window.
     pub reject_frac: f64,
     /// Windowed p99 of the queue stage / the tightest high-priority
-    /// latency SLO (0 when no telemetry or no high-priority tenant).
+    /// latency SLO (0 when there is no high-priority tenant or no queue
+    /// histogram in the registry).
     pub latency_ratio: f64,
 }
 
@@ -73,7 +74,7 @@ impl PressureSampler {
     /// in seconds (`None` disables the latency component).
     pub fn sample(
         &mut self,
-        registry: Option<&TelemetryRegistry>,
+        registry: &TelemetryRegistry,
         queue_depths: &[usize],
         queue_capacity: usize,
         admission: (u64, u64),
@@ -101,9 +102,9 @@ impl PressureSampler {
             None => 0.0,
         };
 
-        let latency_ratio = match (registry, hi_prio_p99_slo_s) {
-            (Some(reg), Some(slo_s)) if slo_s > 0.0 => {
-                self.windowed_queue_p99(reg, queue_depths.len()) / slo_s
+        let latency_ratio = match hi_prio_p99_slo_s {
+            Some(slo_s) if slo_s > 0.0 => {
+                self.windowed_queue_p99(registry, queue_depths.len()) / slo_s
             }
             _ => 0.0,
         };
@@ -159,22 +160,24 @@ mod tests {
 
     #[test]
     fn sampler_windows_the_rejection_fraction() {
+        let registry = TelemetryRegistry::new();
         let mut sampler = PressureSampler::new();
         // First tick: no previous window, rejections don't register yet.
-        let s0 = sampler.sample(None, &[0, 0], 10, (100, 50), None);
+        let s0 = sampler.sample(&registry, &[0, 0], 10, (100, 50), None);
         assert_eq!(s0.reject_frac, 0.0);
         // 100 more submitted, 25 more rejected since last tick.
-        let s1 = sampler.sample(None, &[0, 0], 10, (200, 75), None);
+        let s1 = sampler.sample(&registry, &[0, 0], 10, (200, 75), None);
         assert!((s1.reject_frac - 0.25).abs() < 1e-12);
         // Quiet window: no new submissions, no pressure.
-        let s2 = sampler.sample(None, &[0, 0], 10, (200, 75), None);
+        let s2 = sampler.sample(&registry, &[0, 0], 10, (200, 75), None);
         assert_eq!(s2.reject_frac, 0.0);
     }
 
     #[test]
     fn sampler_normalizes_queue_occupancy() {
+        let registry = TelemetryRegistry::new();
         let mut sampler = PressureSampler::new();
-        let s = sampler.sample(None, &[4, 6], 10, (0, 0), None);
+        let s = sampler.sample(&registry, &[4, 6], 10, (0, 0), None);
         assert!((s.queue_frac - 0.5).abs() < 1e-12);
     }
 
@@ -189,16 +192,16 @@ mod tests {
         );
         let mut sampler = PressureSampler::new();
         hist.observe(0.05);
-        let s0 = sampler.sample(Some(&registry), &[0], 10, (0, 0), Some(0.1));
+        let s0 = sampler.sample(&registry, &[0], 10, (0, 0), Some(0.1));
         // First tick reads the cumulative histogram: p99 bucket bound 0.1s
         // against a 0.1s SLO.
         assert!((s0.latency_ratio - 1.0).abs() < 1e-12);
         // Quiet window: zero samples, zero latency pressure.
-        let s1 = sampler.sample(Some(&registry), &[0], 10, (0, 0), Some(0.1));
+        let s1 = sampler.sample(&registry, &[0], 10, (0, 0), Some(0.1));
         assert_eq!(s1.latency_ratio, 0.0);
         // A slow window spikes the component past 1.
         hist.observe(0.5);
-        let s2 = sampler.sample(Some(&registry), &[0], 10, (0, 0), Some(0.1));
+        let s2 = sampler.sample(&registry, &[0], 10, (0, 0), Some(0.1));
         assert!(s2.latency_ratio > 1.0);
     }
 }

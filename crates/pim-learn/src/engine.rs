@@ -133,8 +133,8 @@ impl LearnEngine {
                 "learn.sgd_step",
                 started.elapsed(),
                 &[
-                    ("loss", format!("{:.6}", stats.loss)),
-                    ("batch", stats.batch.to_string()),
+                    ("loss", &format_args!("{:.6}", stats.loss)),
+                    ("batch", &stats.batch),
                 ],
             );
         }
@@ -174,8 +174,8 @@ impl LearnEngine {
                 "learn.preflight",
                 preflight,
                 &[
-                    ("authorized", authorized.is_ok().to_string()),
-                    ("pending_bits", pending.to_string()),
+                    ("authorized", &authorized.is_ok()),
+                    ("pending_bits", &pending),
                 ],
             );
         }
@@ -195,14 +195,17 @@ impl LearnEngine {
             let wall = write_started.elapsed();
             tel.stage_write_back.observe(wall.as_secs_f64());
             tel.publishes_total.inc();
-            tel.budget_used.set(self.stats.report().budget_used());
+            tel.budget_used.set(self.stats.budget_used());
             tel.bundle.tracer.record_span_ending_now(
                 "learn.write_back",
                 wall,
                 &[
-                    ("version", self.version.to_string()),
-                    ("write_bits", delta.write_bits.to_string()),
-                    ("energy_pj", format!("{:.3}", delta.energy.write.as_pj())),
+                    ("version", &self.version),
+                    ("write_bits", &delta.write_bits),
+                    (
+                        "energy_pj",
+                        &format_args!("{:.3}", delta.energy.write.as_pj()),
+                    ),
                 ],
             );
         }
@@ -240,7 +243,7 @@ impl LearnEngine {
             tel.bundle.tracer.record_span_ending_now(
                 "learn.swap",
                 wall,
-                &[("slot_version", version.to_string())],
+                &[("slot_version", &version)],
             );
         }
         Ok(version)
@@ -300,7 +303,7 @@ impl LearnEngine {
             .model_mut()
             .params(&mut |p| weights += p.value.len());
         let bits = weights as u64 * 8;
-        let publishes = self.stats.report().publishes.max(1);
+        let publishes = self.stats.publishes().max(1);
         let mtj = MtjParams::dac24();
         let energy = mtj.write_energy * (bits * publishes) as f64;
         let pulses = (bits as f64 / 512.0).ceil() * publishes as f64;

@@ -70,6 +70,17 @@ impl LearnStats {
         self.sram.write_bits
     }
 
+    /// Model versions published so far.
+    pub fn publishes(&self) -> u64 {
+        self.publishes
+    }
+
+    /// Fraction of the adaptor write budget spent so far — what
+    /// [`LearnReport::budget_used`] reports, without building a report.
+    pub fn budget_used(&self) -> f64 {
+        budget_fraction(self.sram.write_bits, self.budget_bits)
+    }
+
     /// Point-in-time report.
     pub fn report(&self) -> LearnReport {
         LearnReport {
@@ -94,6 +105,15 @@ impl LearnStats {
             publish_latency: LatencySummary::from_ns(&self.publish_latencies_ns),
             budget_bits: self.budget_bits,
         }
+    }
+}
+
+/// `bits / budget`, or 0 for an infinite or non-positive budget.
+fn budget_fraction(bits: u64, budget: f64) -> f64 {
+    if budget.is_infinite() || budget <= 0.0 {
+        0.0
+    } else {
+        bits as f64 / budget
     }
 }
 
@@ -130,11 +150,7 @@ pub struct LearnReport {
 impl LearnReport {
     /// Fraction of the adaptor write budget spent (0 when infinite).
     pub fn budget_used(&self) -> f64 {
-        if self.budget_bits.is_infinite() || self.budget_bits <= 0.0 {
-            0.0
-        } else {
-            self.sram_write_bits as f64 / self.budget_bits
-        }
+        budget_fraction(self.sram_write_bits, self.budget_bits)
     }
 
     /// Whether the run stayed inside the adaptor write budget.
@@ -241,6 +257,19 @@ mod tests {
         assert!(r.within_budget());
         assert!(r.update_edp() > 0.0);
         assert!(r.to_string().contains("2 publishes"));
+    }
+
+    #[test]
+    fn direct_reads_match_the_report() {
+        let mut stats = LearnStats::new(1000.0);
+        stats.record_publish(&write_delta(100, 5.0, 20.0));
+        stats.record_publish(&write_delta(250, 15.0, 60.0));
+        let r = stats.report();
+        assert_eq!(stats.publishes(), r.publishes);
+        assert_eq!(stats.sram_write_bits(), r.sram_write_bits);
+        assert_eq!(stats.budget_used().to_bits(), r.budget_used().to_bits());
+        let unbounded = LearnStats::new(f64::INFINITY);
+        assert_eq!(unbounded.budget_used(), unbounded.report().budget_used());
     }
 
     #[test]

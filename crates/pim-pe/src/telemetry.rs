@@ -10,6 +10,7 @@
 //! ledger totals bit-exactly.
 
 use crate::stats::PeStats;
+use pim_device::{Energy, EnergyLedger, Latency};
 use pim_telemetry::{Counter, TelemetryRegistry};
 
 /// Energy channel label values, in [`EnergyLedger`] field order
@@ -100,6 +101,29 @@ impl PeTelemetry {
         self.write_faults.add(delta.write_faults as f64);
     }
 
+    /// The ledger the counters hold: every recorded delta summed, field
+    /// by field, in recording order — for a single recorder, bit-for-bit
+    /// the `PeStats` a `+=` chain over the same deltas would give.
+    pub fn totals(&self) -> PeStats {
+        let [leakage, read, write, compute] = self.energy_pj();
+        PeStats {
+            cycles: self.cycles.value() as u64,
+            busy_time: Latency::from_ns(self.busy_ns.value()),
+            energy: EnergyLedger {
+                leakage: Energy::from_pj(leakage),
+                read: Energy::from_pj(read),
+                write: Energy::from_pj(write),
+                compute: Energy::from_pj(compute),
+            },
+            loads: self.loads.value() as u64,
+            matvecs: self.matvecs.value() as u64,
+            macs: self.macs.value() as u64,
+            write_bits: self.write_bits.value() as u64,
+            write_retries: self.write_retries.value() as u64,
+            write_faults: self.write_faults.value() as u64,
+        }
+    }
+
     /// Current per-channel energy counter values, in
     /// [`ENERGY_CHANNELS`] order.
     pub fn energy_pj(&self) -> [f64; 4] {
@@ -123,7 +147,6 @@ impl PeTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_device::{Energy, EnergyLedger, Latency};
 
     fn delta(read_pj: f64, write_pj: f64, bits: u64) -> PeStats {
         let mut energy = EnergyLedger::new();
@@ -162,6 +185,7 @@ mod tests {
             ledger.total_energy().as_pj().to_bits(),
             "channel sum must associate like EnergyLedger::total"
         );
+        assert_eq!(tel.totals(), ledger, "the counters are the ledger");
         let text = registry.render_prometheus();
         assert!(text.contains("pim_pe_write_bits_total{source=\"test\"} 40"));
         assert!(text.contains("channel=\"read\""));

@@ -36,6 +36,13 @@ impl Branch {
         }
     }
 
+    fn detach_telemetry(&mut self) {
+        match self {
+            Branch::Single(b) => b.detach_telemetry(),
+            Branch::Sharded(s) => s.detach_telemetry(),
+        }
+    }
+
     fn attach_pool(&mut self, pool: Arc<WorkPool>) {
         match self {
             Branch::Single(b) => b.attach_pool(pool),
@@ -174,6 +181,9 @@ impl CompiledModel {
     /// compares a live replica's answer against.
     pub fn infer_reference(&self, batch: &Tensor) -> (Tensor, PeStats) {
         let mut replica = self.replica();
+        // A served artifact's counters are its runtime's ledger; a
+        // reference run is not serving.
+        replica.branch.detach_telemetry();
         replica.infer_batch(batch)
     }
 

@@ -5,7 +5,7 @@ use crate::compiled::{CompiledModel, ModelReplica};
 use crate::error::RuntimeError;
 use crate::queue::{AdmissionQueue, AdmitError};
 use crate::request::{InferResponse, ModelId, QueuedRequest, Ticket};
-use crate::stats::{RuntimeStats, StatsCollector};
+use crate::stats::RuntimeStats;
 use crate::telemetry::RuntimeTelemetry;
 use pim_nn::layers::predictions;
 use pim_nn::tensor::Tensor;
@@ -157,15 +157,19 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Attaches a [`Telemetry`] bundle: the runtime registers per-stage
-    /// latency histograms (`pim_runtime_stage_seconds{stage=queue|
-    /// batch_form|compute|reply}`), queue-depth and batch-size series,
-    /// request/rejection/swap counters, and the `source="serve"`
-    /// [`PeStats`](pim_pe::PeStats) energy mirror — and records
-    /// per-request / per-batch spans and swap events into the bundle's
-    /// tracer. Serving behaviour and the [`RuntimeStats`] ledger are
-    /// unchanged; with no bundle attached the hot path stays
-    /// uninstrumented.
+    /// Chooses the [`Telemetry`] bundle the runtime registers its metrics
+    /// on — per-stage latency histograms (`pim_runtime_stage_seconds
+    /// {stage=queue|batch_form|compute|reply}`), queue-depth, batch-size
+    /// and simulated-latency series, request/rejection/swap counters and
+    /// the `source="serve"` [`PeStats`](pim_pe::PeStats) ledger — and
+    /// records per-request / per-batch spans and swap events into the
+    /// bundle's tracer. Without this call the runtime registers the same
+    /// metrics on a private bundle: they are its accounting either way,
+    /// and [`RuntimeStats`] is a view of them.
+    ///
+    /// Runtimes sharing a bundle need distinct
+    /// [`replica_label`](Self::replica_label)s; with equal labels they
+    /// write, and their stats read, the same series.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -207,10 +211,10 @@ impl RuntimeBuilder {
                 self.par_threads = Some(t.par_threads.max(1));
             }
         }
-        let replica_label = self.replica_label;
-        let telemetry = self
-            .telemetry
-            .map(|t| RuntimeTelemetry::register(t, replica_label.as_deref()));
+        let telemetry = RuntimeTelemetry::register(
+            self.telemetry.unwrap_or_else(Telemetry::private),
+            self.replica_label.as_deref(),
+        );
         // One compute pool, shared by every worker's replicas: serving
         // workers parallelize across requests, the pool parallelizes
         // within one. Default width = cores not taken by the workers.
@@ -221,16 +225,17 @@ impl RuntimeBuilder {
             cores.saturating_sub(self.config.workers).max(1)
         });
         let pool = Arc::new(WorkPool::new(par_threads));
-        if let Some(tel) = &telemetry {
-            tel.pool_threads.set(pool.threads() as f64);
-        }
+        telemetry.pool_threads.set(pool.threads() as f64);
+        let input_shapes = self
+            .models
+            .iter()
+            .map(|m| m.input_shape().to_vec())
+            .collect();
         let slots: Vec<ModelSlot> = self
             .models
             .into_iter()
             .map(|mut m| {
-                if let Some(tel) = &telemetry {
-                    m.attach_pe_telemetry(tel.pe.clone());
-                }
+                m.attach_pe_telemetry(telemetry.pe.clone());
                 m.attach_pool(Arc::clone(&pool));
                 ModelSlot {
                     version: 0,
@@ -243,7 +248,7 @@ impl RuntimeBuilder {
             pool,
             queue: AdmissionQueue::new(self.config.queue_capacity, model_count, self.config.batch),
             config: self.config.clone(),
-            stats: StatsCollector::new(),
+            input_shapes,
             models: Mutex::new(slots),
             swap_epoch: AtomicU64::new(0),
             telemetry,
@@ -296,17 +301,18 @@ struct Shared {
     /// is only its initial value). See `queue.rs`.
     queue: AdmissionQueue,
     config: RuntimeConfig,
-    stats: StatsCollector,
+    /// Expected `[C, H, W]` per slot, for `submit`'s checks without the
+    /// model-table lock. Fixed at start: swaps must keep the shape.
+    input_shapes: Vec<Vec<usize>>,
     /// The serving model table (RCU write side). Locked briefly by
-    /// `submit` (shape check), `swap_model` (publish), and workers
-    /// re-cloning a swapped replica — never across an inference.
+    /// `swap_model` (publish) and workers re-cloning a swapped replica —
+    /// never across an inference.
     models: Mutex<Vec<ModelSlot>>,
     /// Bumped after any slot changes; workers poll this cheap atomic once
     /// per batch and only touch the model table when it moved.
     swap_epoch: AtomicU64,
-    /// Pre-registered metric handles; `None` leaves the hot path
-    /// uninstrumented.
-    telemetry: Option<RuntimeTelemetry>,
+    /// Pre-registered metric handles: the runtime's accounting.
+    telemetry: RuntimeTelemetry,
 }
 
 /// The concurrent batched serving engine.
@@ -384,9 +390,7 @@ impl Runtime {
         model: ModelId,
         mut replacement: CompiledModel,
     ) -> Result<u64, RuntimeError> {
-        if let Some(tel) = &self.shared.telemetry {
-            replacement.attach_pe_telemetry(tel.pe.clone());
-        }
+        replacement.attach_pe_telemetry(self.shared.telemetry.pe.clone());
         replacement.attach_pool(Arc::clone(&self.shared.pool));
         let version = {
             let mut slots = self.shared.models.lock().expect("model table lock");
@@ -411,17 +415,11 @@ impl Runtime {
         // worker-side load so a worker seeing the new epoch also sees the
         // new slot contents under the mutex.
         self.shared.swap_epoch.fetch_add(1, Ordering::SeqCst);
-        self.shared.stats.record_swap();
-        if let Some(tel) = &self.shared.telemetry {
-            tel.swaps_total.inc();
-            tel.bundle.tracer.event(
-                "serve.swap",
-                &[
-                    ("model", model.0.to_string()),
-                    ("version", version.to_string()),
-                ],
-            );
-        }
+        let tel = &self.shared.telemetry;
+        tel.swaps_total.inc();
+        tel.bundle
+            .tracer
+            .event("serve.swap", &[("model", &model.0), ("version", &version)]);
         Ok(version)
     }
 
@@ -528,14 +526,12 @@ impl Runtime {
     /// * [`RuntimeError::ShuttingDown`] — the runtime no longer accepts
     ///   work.
     pub fn submit(&self, model: ModelId, input: &Tensor) -> Result<Ticket, RuntimeError> {
-        let expected = {
-            let slots = self.shared.models.lock().expect("model table lock");
-            let slot = slots
-                .get(model.0)
-                .ok_or(RuntimeError::UnknownModel { id: model })?;
-            slot.model.input_shape().to_vec()
-        };
-        let expected = expected.as_slice();
+        let expected = self
+            .shared
+            .input_shapes
+            .get(model.0)
+            .ok_or(RuntimeError::UnknownModel { id: model })?
+            .as_slice();
         let shape = input.shape();
         let normalized = if shape == expected {
             let mut with_batch = vec![1];
@@ -562,29 +558,21 @@ impl Runtime {
             reply: tx,
         });
         // Rejections are counted after the queue lock is released.
-        let telemetry = self.shared.telemetry.as_ref();
+        let tel = &self.shared.telemetry;
         match admitted {
             Ok(depth) => {
-                if let Some(tel) = telemetry {
-                    tel.queue_depth.set(depth as f64);
-                }
+                tel.queue_depth.set(depth as f64);
                 Ok(Ticket { request_id: id, rx })
             }
             Err(AdmitError::Closed) => Err(RuntimeError::ShuttingDown),
             Err(AdmitError::Full) => {
-                self.shared.stats.record_rejection();
-                if let Some(tel) = telemetry {
-                    tel.rejected_total.inc();
-                }
+                tel.rejected_total.inc();
                 Err(RuntimeError::QueueFull {
                     capacity: self.shared.config.queue_capacity,
                 })
             }
             Err(AdmitError::Throttled { quota }) => {
-                self.shared.stats.record_rejection();
-                if let Some(tel) = telemetry {
-                    tel.throttled_total.inc();
-                }
+                tel.throttled_total.inc();
                 Err(RuntimeError::Throttled { model, quota })
             }
         }
@@ -600,9 +588,10 @@ impl Runtime {
         self.submit(model, input)?.wait()
     }
 
-    /// A point-in-time statistics snapshot.
+    /// A point-in-time statistics snapshot, read from the runtime's
+    /// metric handles.
     pub fn stats(&self) -> RuntimeStats {
-        self.shared.stats.snapshot()
+        self.shared.telemetry.stats()
     }
 
     /// Graceful shutdown: stops accepting work, lets workers drain every
@@ -610,7 +599,7 @@ impl Runtime {
     /// returns the final statistics.
     pub fn shutdown(mut self) -> RuntimeStats {
         self.close_and_join();
-        self.shared.stats.snapshot()
+        self.shared.telemetry.stats()
     }
 
     fn close_and_join(&mut self) {
@@ -637,7 +626,7 @@ impl Drop for Runtime {
 struct WorkerScratch {
     /// Row-major staging area the batch's input tensors are stacked into.
     staging: Vec<f32>,
-    /// Per-rider queue waits for the stats ledger and responses.
+    /// Per-rider queue waits for the stats and responses.
     waits: Vec<Duration>,
 }
 
@@ -647,9 +636,7 @@ fn worker_loop(shared: &Shared, replicas: &mut [(u64, ModelReplica)], worker: us
     let mut seen_epoch = 0;
     let mut scratch = WorkerScratch::default();
     while let Some(batch) = shared.queue.next_batch(worker) {
-        if let Some(tel) = &shared.telemetry {
-            tel.queue_depth.set(batch.depth as f64);
-        }
+        shared.telemetry.queue_depth.set(batch.depth as f64);
         refresh_replicas(shared, replicas, &mut seen_epoch);
         serve_batch(shared, replicas, batch.requests, batch.formed, &mut scratch);
     }
@@ -711,25 +698,18 @@ fn serve_batch(
         .waits
         .extend(batch.iter().map(|r| r.enqueued.elapsed()));
     // Count the batch before replying, so a client holding its response
-    // is guaranteed to find it in the stats snapshot.
-    shared
-        .stats
-        .record_batch(size, sim, scratch.waits.iter().sum::<Duration>());
-    if let Some(tel) = &shared.telemetry {
-        // Energy counters were already fed by the replica's attached
-        // PeTelemetry inside `infer_batch`; here only the host-side
-        // pipeline timings are recorded.
-        tel.batch_size.observe(size as f64);
-        tel.requests_total.add(size as f64);
-        // Mirror the compute pool's cumulative activity into its gauges.
-        tel.mirror_pool(&shared.pool.counters());
-        tel.stage_batch_form
-            .observe(dispatched.duration_since(formed).as_secs_f64());
-        tel.stage_compute.observe(compute.as_secs_f64());
-        for r in &batch {
-            tel.stage_queue
-                .observe(dispatched.duration_since(r.enqueued).as_secs_f64());
-        }
+    // is guaranteed to find it in the stats snapshot. The PE ledger delta
+    // was already counted by the replica's branch inside `infer_batch`.
+    let tel = &shared.telemetry;
+    tel.record_batch(sim.busy_time, &scratch.waits);
+    // Mirror the compute pool's cumulative activity into its gauges.
+    tel.mirror_pool(&shared.pool.counters());
+    tel.stage_batch_form
+        .observe(dispatched.duration_since(formed).as_secs_f64());
+    tel.stage_compute.observe(compute.as_secs_f64());
+    for r in &batch {
+        tel.stage_queue
+            .observe(dispatched.duration_since(r.enqueued).as_secs_f64());
     }
     let reply_started = Instant::now();
     for ((row, req), wait) in batch.into_iter().enumerate().zip(scratch.waits.drain(..)) {
@@ -744,29 +724,24 @@ fn serve_batch(
         };
         // The client may have dropped its ticket; serving proceeds.
         let _ = req.reply.send(response);
-        if let Some(tel) = &shared.telemetry {
-            tel.bundle.tracer.record_span_ending_now(
-                "serve.request",
-                req.enqueued.elapsed(),
-                &[
-                    ("id", req.id.to_string()),
-                    ("model", model.0.to_string()),
-                    ("batch_size", size.to_string()),
-                ],
-            );
-        }
-    }
-    if let Some(tel) = &shared.telemetry {
-        tel.stage_reply
-            .observe(reply_started.elapsed().as_secs_f64());
         tel.bundle.tracer.record_span_ending_now(
-            "serve.batch",
-            formed.elapsed(),
-            &[
-                ("model", model.0.to_string()),
-                ("size", size.to_string()),
-                ("energy_pj", format!("{:.3}", sim.total_energy().as_pj())),
-            ],
+            "serve.request",
+            req.enqueued.elapsed(),
+            &[("id", &req.id), ("model", &model.0), ("batch_size", &size)],
         );
     }
+    tel.stage_reply
+        .observe(reply_started.elapsed().as_secs_f64());
+    tel.bundle.tracer.record_span_ending_now(
+        "serve.batch",
+        formed.elapsed(),
+        &[
+            ("model", &model.0),
+            ("size", &size),
+            (
+                "energy_pj",
+                &format_args!("{:.3}", sim.total_energy().as_pj()),
+            ),
+        ],
+    );
 }

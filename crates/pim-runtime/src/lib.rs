@@ -29,15 +29,14 @@
 //!   [`Runtime::submit`] return [`RuntimeError::QueueFull`] immediately
 //!   (it never blocks); [`Runtime::shutdown`] stops intake, drains every
 //!   in-flight request so all tickets get answers, and joins the pool.
-//! * **Accounting** — per-request and per-batch simulated latency,
-//!   energy, and EDP from the `pim-device`/`pim-pe` cost models, rolled
-//!   up into a [`RuntimeStats`] snapshot ([`Runtime::stats`]).
-//! * **Telemetry** — [`RuntimeBuilder::telemetry`] attaches a shared
-//!   [`Telemetry`] bundle: per-stage latency histograms
-//!   (`queue`/`batch_form`/`compute`/`reply`), queue-depth and
-//!   batch-size distributions, request/rejection/swap counters, a
-//!   per-replica PE energy mirror (`source="serve"`), and
-//!   per-request/batch/swap spans — Prometheus-renderable mid-run.
+//! * **Accounting is telemetry** — every runtime registers its metrics
+//!   on the [`Telemetry`] bundle given to [`RuntimeBuilder::telemetry`]
+//!   (or on a private one): per-stage latency histograms
+//!   (`queue`/`batch_form`/`compute`/`reply`), queue-depth, batch-size
+//!   and simulated-latency distributions, request/rejection/swap
+//!   counters, the PE ledger (`source="serve"`), and per-request/batch/
+//!   swap spans. [`RuntimeStats`] ([`Runtime::stats`]) is a view of the
+//!   same handles, so it and the Prometheus output cannot disagree.
 //!
 //! See `examples/serving.rs` for an end-to-end tour and
 //! `examples/telemetry.rs` for the instrumented one.

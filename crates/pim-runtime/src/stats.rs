@@ -1,128 +1,25 @@
-//! Runtime-wide accounting and the snapshot clients read.
+//! The snapshot clients read: a view over the runtime's metric handles
+//! (see `telemetry.rs`), mergeable across runtimes.
 
-use crate::metrics::LatencySummary;
+use crate::telemetry::{seconds_buckets, sim_latency_buckets};
 use pim_device::{edp, Energy, Latency};
-use pim_pe::PeStats;
+use pim_telemetry::{Histogram, HistogramSnapshot};
 use std::fmt;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Thread-safe accumulator the workers and `submit` write into.
-#[derive(Debug)]
-pub(crate) struct StatsCollector {
-    inner: Mutex<Inner>,
-}
-
-#[derive(Debug)]
-struct Inner {
-    completed: u64,
-    rejected: u64,
-    batches: u64,
-    batch_size_sum: u64,
-    max_batch_size: usize,
-    model_swaps: u64,
-    /// Aggregate simulated PE ledger across all batches.
-    sim: PeStats,
-    /// Per-request simulated latency samples (ns).
-    latencies_ns: Vec<f64>,
-    queue_wait_sum: Duration,
-    started: Instant,
-}
-
-impl StatsCollector {
-    pub fn new() -> Self {
-        Self {
-            inner: Mutex::new(Inner {
-                completed: 0,
-                rejected: 0,
-                batches: 0,
-                batch_size_sum: 0,
-                max_batch_size: 0,
-                model_swaps: 0,
-                sim: PeStats::new(),
-                latencies_ns: Vec::new(),
-                queue_wait_sum: Duration::ZERO,
-                started: Instant::now(),
-            }),
-        }
-    }
-
-    /// Records one served batch: its size, PE ledger, and the wall-clock
-    /// queue waits of its riders.
-    pub fn record_batch(&self, size: usize, sim: PeStats, queue_waits: Duration) {
-        let mut g = self.inner.lock().expect("stats lock");
-        g.completed += size as u64;
-        g.batches += 1;
-        g.batch_size_sum += size as u64;
-        g.max_batch_size = g.max_batch_size.max(size);
-        g.sim += sim;
-        // Every rider experiences the whole batch's simulated latency.
-        let ns = sim.busy_time.as_ns();
-        g.latencies_ns.extend(std::iter::repeat_n(ns, size));
-        g.queue_wait_sum += queue_waits;
-    }
-
-    /// Records one backpressure rejection.
-    pub fn record_rejection(&self) {
-        self.inner.lock().expect("stats lock").rejected += 1;
-    }
-
-    /// Records one hot model swap.
-    pub fn record_swap(&self) {
-        self.inner.lock().expect("stats lock").model_swaps += 1;
-    }
-
-    /// A consistent point-in-time snapshot.
-    pub fn snapshot(&self) -> RuntimeStats {
-        let g = self.inner.lock().expect("stats lock");
-        let latency = LatencySummary::from_ns(&g.latencies_ns);
-        RuntimeStats {
-            latency_samples_ns: g.latencies_ns.clone(),
-            requests_completed: g.completed,
-            requests_rejected: g.rejected,
-            batches: g.batches,
-            model_swaps: g.model_swaps,
-            mean_batch_size: if g.batches == 0 {
-                0.0
-            } else {
-                g.batch_size_sum as f64 / g.batches as f64
-            },
-            max_batch_size: g.max_batch_size,
-            p50_latency: latency.p50,
-            p99_latency: latency.p99,
-            mean_latency: latency.mean,
-            total_energy: g.sim.total_energy(),
-            simulated_busy: g.sim.busy_time,
-            edp: edp(g.sim.total_energy(), g.sim.busy_time),
-            macs: g.sim.macs,
-            pe_matvecs: g.sim.matvecs,
-            mean_queue_wait: mean_duration(g.queue_wait_sum, g.completed),
-            wall_elapsed: g.started.elapsed(),
-        }
-    }
-}
-
-/// `sum / n`, or zero for `n == 0`. Divides in `u128` nanoseconds, so it
-/// stays exact past `u32::MAX` samples (where `Duration / u32` would need
-/// a truncating cast).
-fn mean_duration(sum: Duration, n: u64) -> Duration {
-    const NANOS_PER_SEC: u128 = 1_000_000_000;
-    match sum.as_nanos().checked_div(u128::from(n)) {
-        // The quotient is at most `sum`, so its seconds fit in a u64.
-        Some(nanos) => Duration::new(
-            (nanos / NANOS_PER_SEC) as u64,
-            (nanos % NANOS_PER_SEC) as u32,
-        ),
-        None => Duration::ZERO,
-    }
-}
-
-/// Point-in-time view of everything the runtime has served.
+/// Point-in-time view of everything the runtime has served, read from
+/// the same metric handles its Prometheus exposition renders.
+///
+/// Counts, the energy/busy ledgers, `macs` and `pe_matvecs` are exact.
+/// The latency percentiles come from a fixed-bucket histogram (bounds
+/// [`SIM_LATENCY_BUCKET_FACTOR`](crate::telemetry::SIM_LATENCY_BUCKET_FACTOR)
+/// apart), so memory stays bounded however long the runtime serves.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeStats {
     /// Requests answered.
     pub requests_completed: u64,
-    /// Requests refused with [`QueueFull`](crate::RuntimeError::QueueFull).
+    /// Requests refused with [`QueueFull`](crate::RuntimeError::QueueFull)
+    /// or [`Throttled`](crate::RuntimeError::Throttled).
     pub requests_rejected: u64,
     /// PE batches dispatched.
     pub batches: u64,
@@ -132,9 +29,12 @@ pub struct RuntimeStats {
     pub mean_batch_size: f64,
     /// Largest batch dispatched.
     pub max_batch_size: usize,
-    /// Median per-request simulated latency.
+    /// Median per-request simulated latency: the upper edge of the
+    /// histogram bucket holding the nearest-rank sample, so it over-states
+    /// that sample by at most 1.25×.
     pub p50_latency: Latency,
-    /// 99th-percentile per-request simulated latency.
+    /// 99th-percentile per-request simulated latency, as bucketed as
+    /// `p50_latency` (at most 1.25× the nearest-rank sample).
     pub p99_latency: Latency,
     /// Mean per-request simulated latency.
     pub mean_latency: Latency,
@@ -152,10 +52,12 @@ pub struct RuntimeStats {
     pub mean_queue_wait: Duration,
     /// Wall-clock time since the runtime started.
     pub wall_elapsed: Duration,
-    /// The raw per-request simulated latency samples (ns) behind the
-    /// percentiles — carried so roll-ups can **merge** snapshots exactly
-    /// instead of approximating percentiles from percentiles.
-    pub latency_samples_ns: Vec<f64>,
+    /// The per-request simulated latency histogram (ns) behind the
+    /// percentiles; roll-ups [`merge`](Self::merge) it bucket by bucket.
+    pub sim_latency_ns: HistogramSnapshot,
+    /// The per-request wall-clock wait histogram (s) behind
+    /// `mean_queue_wait`.
+    pub request_wait_s: HistogramSnapshot,
 }
 
 impl RuntimeStats {
@@ -188,29 +90,22 @@ impl RuntimeStats {
             pe_matvecs: 0,
             mean_queue_wait: Duration::ZERO,
             wall_elapsed: Duration::ZERO,
-            latency_samples_ns: Vec::new(),
+            sim_latency_ns: Histogram::new(&sim_latency_buckets()).snapshot(),
+            request_wait_s: Histogram::new(&seconds_buckets()).snapshot(),
         }
     }
 
     /// Merges two snapshots into the snapshot an imaginary single runtime
-    /// serving both workloads would have produced: counters add, means
-    /// re-weight, percentiles are **recomputed from the pooled latency
-    /// samples** (not interpolated from the per-snapshot percentiles),
-    /// energy/busy ledgers add and the EDP is re-derived from the merged
-    /// totals. Wall-clock elapsed takes the max — replicas run
-    /// concurrently, their lifetimes don't stack.
+    /// serving both workloads would have produced: counters add, the
+    /// histograms add bucket by bucket (so the percentiles are those of
+    /// the pooled requests, not percentiles of percentiles), the batch
+    /// mean re-weights, energy/busy ledgers add and the EDP is re-derived
+    /// from the merged totals. Wall-clock elapsed takes the max — replicas
+    /// run concurrently, their lifetimes don't stack.
     pub fn merge(&self, other: &RuntimeStats) -> RuntimeStats {
-        let mut samples =
-            Vec::with_capacity(self.latency_samples_ns.len() + other.latency_samples_ns.len());
-        samples.extend_from_slice(&self.latency_samples_ns);
-        samples.extend_from_slice(&other.latency_samples_ns);
-        let latency = LatencySummary::from_ns(&samples);
         let batches = self.batches + other.batches;
-        let completed = self.requests_completed + other.requests_completed;
-        let total_energy = self.total_energy + other.total_energy;
-        let simulated_busy = self.simulated_busy + other.simulated_busy;
         RuntimeStats {
-            requests_completed: completed,
+            requests_completed: self.requests_completed + other.requests_completed,
             requests_rejected: self.requests_rejected + other.requests_rejected,
             batches,
             model_swaps: self.model_swaps + other.model_swaps,
@@ -222,26 +117,29 @@ impl RuntimeStats {
                     / batches as f64
             },
             max_batch_size: self.max_batch_size.max(other.max_batch_size),
-            p50_latency: latency.p50,
-            p99_latency: latency.p99,
-            mean_latency: latency.mean,
-            total_energy,
-            simulated_busy,
-            edp: edp(total_energy, simulated_busy),
+            total_energy: self.total_energy + other.total_energy,
+            simulated_busy: self.simulated_busy + other.simulated_busy,
             macs: self.macs + other.macs,
             pe_matvecs: self.pe_matvecs + other.pe_matvecs,
-            mean_queue_wait: if completed == 0 {
-                Duration::ZERO
-            } else {
-                Duration::from_secs_f64(
-                    (self.mean_queue_wait.as_secs_f64() * self.requests_completed as f64
-                        + other.mean_queue_wait.as_secs_f64() * other.requests_completed as f64)
-                        / completed as f64,
-                )
-            },
             wall_elapsed: self.wall_elapsed.max(other.wall_elapsed),
-            latency_samples_ns: samples,
+            sim_latency_ns: self.sim_latency_ns.merge(&other.sim_latency_ns),
+            request_wait_s: self.request_wait_s.merge(&other.request_wait_s),
+            ..RuntimeStats::empty()
         }
+        .derive_summaries()
+    }
+
+    /// Fills the fields summarised from the others: the latency
+    /// percentiles and means from the histograms, the EDP from the
+    /// ledger totals.
+    pub(crate) fn derive_summaries(mut self) -> Self {
+        let latency = &self.sim_latency_ns;
+        self.p50_latency = Latency::from_ns(latency.quantile(0.50));
+        self.p99_latency = Latency::from_ns(latency.quantile(0.99));
+        self.mean_latency = Latency::from_ns(latency.mean());
+        self.edp = edp(self.total_energy, self.simulated_busy);
+        self.mean_queue_wait = Duration::from_secs_f64(self.request_wait_s.mean());
+        self
     }
 }
 
@@ -280,7 +178,10 @@ impl fmt::Display for RuntimeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{RuntimeTelemetry, SIM_LATENCY_BUCKET_FACTOR};
     use pim_device::EnergyLedger;
+    use pim_pe::PeStats;
+    use pim_telemetry::Telemetry;
 
     fn batch_ledger(cycles: u64, ns: f64, pj: f64) -> PeStats {
         let mut energy = EnergyLedger::new();
@@ -298,41 +199,58 @@ mod tests {
         }
     }
 
+    fn collector() -> RuntimeTelemetry {
+        RuntimeTelemetry::register(Telemetry::new(), None)
+    }
+
+    /// The serving path's accounting for one batch, minus the PE work:
+    /// the branch folds its ledger delta, then the worker counts the
+    /// riders (each waiting `wait`).
+    fn record(c: &RuntimeTelemetry, size: usize, ledger: PeStats, wait: Duration) {
+        c.pe.record(&ledger);
+        c.record_batch(ledger.busy_time, &[wait; 64][..size]);
+    }
+
+    fn snapshot(c: &RuntimeTelemetry) -> RuntimeStats {
+        c.stats()
+    }
+
     #[test]
-    fn mean_duration_divides_past_u32_counts() {
-        let n = 1u64 << 32;
-        assert_eq!(
-            mean_duration(Duration::from_nanos(3 * n), n),
-            Duration::from_nanos(3)
+    fn sim_latency_buckets_are_at_most_the_documented_factor_apart() {
+        let b = sim_latency_buckets();
+        assert!(
+            b[0] == 1.0 && b[b.len() - 1] > 1e11,
+            "1 ns up to 100 s batches"
         );
-        assert_eq!(
-            mean_duration(Duration::from_secs(n + 1), n + 1),
-            Duration::from_secs(1)
-        );
-        assert_eq!(mean_duration(Duration::from_secs(7), 0), Duration::ZERO);
-        assert_eq!(
-            mean_duration(Duration::from_micros(40), 4),
-            Duration::from_micros(40) / 4
-        );
+        let factor = SIM_LATENCY_BUCKET_FACTOR * (1.0 + 1e-12);
+        assert!(b.windows(2).all(|w| w[1] / w[0] <= factor));
     }
 
     #[test]
     fn snapshot_aggregates_batches() {
-        let c = StatsCollector::new();
-        c.record_batch(3, batch_ledger(10, 100.0, 5.0), Duration::from_micros(30));
-        c.record_batch(1, batch_ledger(10, 300.0, 2.0), Duration::from_micros(10));
-        c.record_rejection();
-        c.record_swap();
-        let s = c.snapshot();
+        let c = collector();
+        let wait = Duration::from_micros(10);
+        record(&c, 3, batch_ledger(10, 100.0, 5.0), wait);
+        record(&c, 1, batch_ledger(10, 300.0, 2.0), wait);
+        c.rejected_total.inc();
+        c.swaps_total.inc();
+        let s = snapshot(&c);
         assert_eq!(s.requests_completed, 4);
         assert_eq!(s.requests_rejected, 1);
         assert_eq!(s.batches, 2);
         assert_eq!(s.model_swaps, 1);
         assert_eq!(s.max_batch_size, 3);
         assert!((s.mean_batch_size - 2.0).abs() < 1e-12);
-        // Latency samples: [100, 100, 100, 300] ns.
-        assert_eq!(s.p50_latency, Latency::from_ns(100.0));
-        assert_eq!(s.p99_latency, Latency::from_ns(300.0));
+        // Latency samples [100, 100, 100, 300] ns; each percentile is the
+        // upper edge of its nearest-rank sample's bucket: 1.25^21 and
+        // 1.25^26 ns, within 1.25x of the samples.
+        assert_eq!(s.p50_latency, Latency::from_ns(1.25f64.powi(21)));
+        assert_eq!(s.p99_latency, Latency::from_ns(1.25f64.powi(26)));
+        for (p, sample) in [(s.p50_latency, 100.0), (s.p99_latency, 300.0)] {
+            assert!(p.as_ns() >= sample && p.as_ns() <= sample * SIM_LATENCY_BUCKET_FACTOR);
+        }
+        assert_eq!(s.mean_latency, Latency::from_ns(150.0));
+        assert_eq!(s.mean_queue_wait, wait);
         assert_eq!(s.total_energy, Energy::from_pj(7.0));
         assert_eq!(s.macs, 20);
         assert!(s.edp > 0.0);
@@ -341,21 +259,58 @@ mod tests {
 
     #[test]
     fn empty_snapshot_is_all_zero() {
-        let s = StatsCollector::new().snapshot();
+        let s = snapshot(&collector());
         assert_eq!(s.requests_completed, 0);
         assert_eq!(s.p99_latency, Latency::from_ns(0.0));
         assert_eq!(s.mean_batch_size, 0.0);
         assert_eq!(s.throughput_rps(), 0.0);
     }
 
-    /// Two per-replica collectors vs one collector fed the union of their
-    /// batches: `merge` must reproduce the flat computation — percentiles
-    /// from the pooled samples, not from the per-replica percentiles.
+    /// A million batches leave the snapshot exactly as large as ten did:
+    /// the view holds fixed histogram buckets, not per-request samples,
+    /// and every count stays exact.
+    #[test]
+    fn stats_memory_stays_bounded_over_a_million_batches() {
+        const BATCHES: u64 = 1_000_000;
+        let c = collector();
+        let mut ledger = PeStats::new();
+        let mut requests = 0u64;
+        let buckets = |s: &RuntimeStats| {
+            s.sim_latency_ns.bucket_counts().len() + s.request_wait_s.bucket_counts().len()
+        };
+        let mut after_ten = 0;
+        for i in 0..BATCHES {
+            let size = 1 + (i % 8) as usize;
+            let batch = batch_ledger(10, 100.0 + (i % 50) as f64, 0.5);
+            record(&c, size, batch, Duration::from_micros(20));
+            ledger += batch;
+            requests += size as u64;
+            if i == 9 {
+                after_ten = buckets(&snapshot(&c));
+            }
+        }
+        let s = snapshot(&c);
+        assert_eq!(buckets(&s), after_ten);
+        assert_eq!(s.requests_completed, requests);
+        assert_eq!(s.batches, BATCHES);
+        assert_eq!(s.max_batch_size, 8);
+        assert_eq!(s.pe_matvecs, BATCHES);
+        assert_eq!(s.macs, 10 * BATCHES);
+        assert_eq!(s.sim_latency_ns.count(), requests);
+        assert_eq!(
+            s.total_energy.as_pj().to_bits(),
+            ledger.total_energy().as_pj().to_bits()
+        );
+        assert_eq!(s.simulated_busy, ledger.busy_time);
+    }
+
+    /// Two per-replica views, merged, equal one view fed the union of
+    /// their batches — bucket for bucket, not percentile of percentiles.
     #[test]
     fn merged_percentiles_pin_to_the_flat_sample_computation() {
-        let a = StatsCollector::new();
-        let b = StatsCollector::new();
-        let flat = StatsCollector::new();
+        let a = collector();
+        let b = collector();
+        let flat = collector();
         // Skewed splits so naive percentile-of-percentiles would be wrong:
         // replica a serves the fast batches, replica b the slow tail.
         let batches: &[(usize, u64, f64, f64, bool)] = &[
@@ -368,26 +323,27 @@ mod tests {
         for &(size, cycles, ns, pj, on_a) in batches {
             let ledger = batch_ledger(cycles, ns, pj);
             let wait = Duration::from_micros(10 * size as u64);
-            if on_a {
-                a.record_batch(size, ledger, wait);
-            } else {
-                b.record_batch(size, ledger, wait);
-            }
-            flat.record_batch(size, ledger, wait);
+            record(if on_a { &a } else { &b }, size, ledger, wait);
+            record(&flat, size, ledger, wait);
         }
-        a.record_rejection();
-        b.record_rejection();
-        flat.record_rejection();
-        flat.record_rejection();
+        a.rejected_total.inc();
+        b.rejected_total.inc();
+        flat.rejected_total.add(2.0);
 
-        let merged = a.snapshot().merge(&b.snapshot());
-        let want = flat.snapshot();
+        let merged = snapshot(&a).merge(&snapshot(&b));
+        let want = snapshot(&flat);
         assert_eq!(merged.requests_completed, want.requests_completed);
         assert_eq!(merged.requests_rejected, want.requests_rejected);
         assert_eq!(merged.batches, want.batches);
         assert_eq!(merged.max_batch_size, want.max_batch_size);
         assert!((merged.mean_batch_size - want.mean_batch_size).abs() < 1e-12);
-        // The pinned part: pooled-sample percentiles, exactly.
+        // The pinned part: the merged histogram is the flat one, so the
+        // percentiles are too.
+        assert_eq!(merged.sim_latency_ns, want.sim_latency_ns);
+        assert_eq!(
+            merged.request_wait_s.bucket_counts(),
+            want.request_wait_s.bucket_counts()
+        );
         assert_eq!(merged.p50_latency, want.p50_latency);
         assert_eq!(merged.p99_latency, want.p99_latency);
         assert_eq!(merged.mean_latency, want.mean_latency);
@@ -397,24 +353,18 @@ mod tests {
         assert_eq!(merged.edp, want.edp);
         assert_eq!(merged.macs, want.macs);
         assert_eq!(merged.pe_matvecs, want.pe_matvecs);
-        // Sample multiset survives the merge (order is concatenation).
-        let mut got = merged.latency_samples_ns.clone();
-        let mut flat_samples = want.latency_samples_ns.clone();
-        got.sort_by(f64::total_cmp);
-        flat_samples.sort_by(f64::total_cmp);
-        assert_eq!(got, flat_samples);
     }
 
     #[test]
     fn merge_with_empty_is_identity_and_sum_folds() {
-        let c = StatsCollector::new();
-        c.record_batch(2, batch_ledger(10, 50.0, 1.0), Duration::from_micros(5));
-        let s = c.snapshot();
+        let c = collector();
+        record(&c, 2, batch_ledger(10, 50.0, 1.0), Duration::from_micros(5));
+        let s = snapshot(&c);
         let merged = RuntimeStats::empty().merge(&s);
         assert_eq!(merged.requests_completed, s.requests_completed);
         assert_eq!(merged.p50_latency, s.p50_latency);
         assert_eq!(merged.total_energy, s.total_energy);
-        assert_eq!(merged.latency_samples_ns, s.latency_samples_ns);
+        assert_eq!(merged.sim_latency_ns, s.sim_latency_ns);
 
         let summed: RuntimeStats = [s.clone(), s.clone(), s.clone()].iter().sum();
         assert_eq!(summed.requests_completed, 6);

@@ -1,14 +1,19 @@
-//! The runtime's pre-registered telemetry handles.
+//! The runtime's metric handles — the one store its accounting lives in.
 //!
-//! Built once at [`Runtime`](crate::Runtime) start from the
-//! [`Telemetry`] bundle passed to the builder; workers and `submit`
-//! update the handles (plain atomics) and never touch the registry
-//! again. Metric names are stable API — dashboards and tests re-acquire
-//! the same series through the registry's get-or-register semantics.
+//! Registered once at [`Runtime`](crate::Runtime) start, on the
+//! [`Telemetry`] bundle passed to the builder or on a private one;
+//! workers and `submit` update the handles (plain atomics) and never
+//! touch the registry again, and [`RuntimeStats`] is a read-only view
+//! built from the same handles. Metric names are stable API — dashboards
+//! and tests re-acquire the same series through the registry's
+//! get-or-register semantics.
 
+use crate::stats::RuntimeStats;
+use pim_device::Latency;
 use pim_pe::PeTelemetry;
 use pim_telemetry::{exponential_buckets, Counter, Gauge, Histogram, Telemetry};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Stage label values of [`STAGE_METRIC`], in pipeline order.
 pub const STAGES: [&str; 4] = ["queue", "batch_form", "compute", "reply"];
@@ -19,10 +24,28 @@ pub const STAGE_METRIC: &str = "pim_runtime_stage_seconds";
 /// The `source` label the runtime's [`PeTelemetry`] counters carry.
 pub const PE_SOURCE: &str = "serve";
 
+/// Adjacent bounds of the simulated-latency histogram differ by this
+/// factor, so a reported percentile over-states its sample by at most it.
+pub const SIM_LATENCY_BUCKET_FACTOR: f64 = 1.25;
+
+/// Bounds of the per-request simulated-latency histogram, in ns: 1 ns
+/// up to about 110 s, [`SIM_LATENCY_BUCKET_FACTOR`] apart.
+pub(crate) fn sim_latency_buckets() -> Vec<f64> {
+    exponential_buckets(1.0, SIM_LATENCY_BUCKET_FACTOR, 115)
+}
+
+/// Bounds of the wall-clock histograms, in seconds: 1µs .. ~67s, factor
+/// 4, covering sub-batch waits through stalls.
+pub(crate) fn seconds_buckets() -> Vec<f64> {
+    exponential_buckets(1e-6, 4.0, 13)
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct RuntimeTelemetry {
     /// The bundle itself, for tracer access.
     pub bundle: Arc<Telemetry>,
+    /// When the handles were registered: the stats' `wall_elapsed` origin.
+    started: Instant,
     /// Requests accepted but not yet dispatched.
     pub queue_depth: Gauge,
     /// Riders per dispatched batch.
@@ -35,6 +58,12 @@ pub(crate) struct RuntimeTelemetry {
     pub stage_compute: Histogram,
     /// Wall time spent answering tickets, per batch.
     pub stage_reply: Histogram,
+    /// Largest batch dispatched (a running max).
+    pub max_batch_size: Gauge,
+    /// Simulated latency (ns) each rider was charged: its whole batch's.
+    pub sim_latency: Histogram,
+    /// Wall time from submit until the response is ready, per rider.
+    pub request_wait: Histogram,
     /// Requests answered.
     pub requests_total: Counter,
     /// Backpressure rejections.
@@ -55,7 +84,7 @@ pub(crate) struct RuntimeTelemetry {
     pub pool_caller_tasks: Gauge,
     /// Cumulative pool tasks executed by the pool's helper threads.
     pub pool_worker_tasks: Gauge,
-    /// The `PeStats` mirror attached to every served branch.
+    /// The serving PE ledger, fed by every served branch.
     pub pe: PeTelemetry,
 }
 
@@ -67,8 +96,7 @@ impl RuntimeTelemetry {
     /// a standalone runtime has always registered them.
     pub(crate) fn register(bundle: Arc<Telemetry>, replica: Option<&str>) -> Self {
         let registry = &bundle.registry;
-        // 1µs .. ~67s, factor 4: covers sub-batch waits through stalls.
-        let seconds = exponential_buckets(1e-6, 4.0, 13);
+        let seconds = seconds_buckets();
         let base: Vec<(&str, &str)> = match replica {
             Some(r) => vec![("replica", r)],
             None => Vec::new(),
@@ -94,6 +122,19 @@ impl RuntimeTelemetry {
                 "pim_runtime_batch_size",
                 "Riders per dispatched PE batch",
                 &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+                &base,
+            ),
+            max_batch_size: gauge("pim_runtime_max_batch_size", "Largest PE batch dispatched"),
+            sim_latency: registry.histogram_with(
+                "pim_runtime_sim_latency_nanoseconds",
+                "Simulated PE latency charged to each request (its batch's)",
+                &sim_latency_buckets(),
+                &base,
+            ),
+            request_wait: registry.histogram_with(
+                "pim_runtime_request_wait_seconds",
+                "Wall-clock seconds from submit until the response is ready",
+                &seconds,
                 &base,
             ),
             stage_queue: stage(STAGES[0]),
@@ -143,6 +184,7 @@ impl RuntimeTelemetry {
                 None => PeTelemetry::register(registry, PE_SOURCE),
             },
             bundle,
+            started: Instant::now(),
         }
     }
 
@@ -152,5 +194,43 @@ impl RuntimeTelemetry {
         self.pool_inline_jobs.set(pc.inline_jobs as f64);
         self.pool_caller_tasks.set(pc.caller_tasks as f64);
         self.pool_worker_tasks.set(pc.worker_tasks as f64);
+    }
+
+    /// Counts one served batch of `waits.len()` riders: every rider is
+    /// charged the batch's simulated latency `sim_busy`, and `waits` are
+    /// their wall-clock waits. The batch's PE ledger delta is counted
+    /// apart, by the branch that ran it (into [`pe`](Self::pe)).
+    pub(crate) fn record_batch(&self, sim_busy: Latency, waits: &[Duration]) {
+        let size = waits.len();
+        self.batch_size.observe(size as f64);
+        self.max_batch_size.raise(size as f64);
+        self.requests_total.add(size as f64);
+        self.sim_latency.observe_n(sim_busy.as_ns(), size as u64);
+        for wait in waits {
+            self.request_wait.observe(wait.as_secs_f64());
+        }
+    }
+
+    /// The [`RuntimeStats`] view of the handles.
+    pub(crate) fn stats(&self) -> RuntimeStats {
+        let sim = self.pe.totals();
+        let batches = self.batch_size.snapshot();
+        RuntimeStats {
+            requests_completed: self.requests_total.value() as u64,
+            requests_rejected: (self.rejected_total.value() + self.throttled_total.value()) as u64,
+            batches: batches.count(),
+            model_swaps: self.swaps_total.value() as u64,
+            mean_batch_size: batches.mean(),
+            max_batch_size: self.max_batch_size.value() as usize,
+            total_energy: sim.total_energy(),
+            simulated_busy: sim.busy_time,
+            macs: sim.macs,
+            pe_matvecs: sim.matvecs,
+            wall_elapsed: self.started.elapsed(),
+            sim_latency_ns: self.sim_latency.snapshot(),
+            request_wait_s: self.request_wait.snapshot(),
+            ..RuntimeStats::empty()
+        }
+        .derive_summaries()
     }
 }

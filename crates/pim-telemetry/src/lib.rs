@@ -73,6 +73,13 @@ impl Telemetry {
         Self::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
     }
 
+    /// The bundle a component registers on when its caller attached
+    /// none: a fresh registry, which the component's own stats read, and
+    /// a tracer that keeps nothing, since no caller asked for spans.
+    pub fn private() -> Arc<Self> {
+        Self::with_trace_capacity(0)
+    }
+
     /// A fresh bundle whose tracer retains at most `capacity` events.
     pub fn with_trace_capacity(capacity: usize) -> Arc<Self> {
         Arc::new(Self {

@@ -17,19 +17,21 @@ struct Cell(AtomicU64);
 
 impl Cell {
     fn add(&self, v: f64) {
-        let mut current = self.0.load(Ordering::Relaxed);
-        loop {
-            let next = f64::from_bits(current) + v;
-            match self.0.compare_exchange_weak(
-                current,
-                next.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
+        self.update(|now| Some(now + v));
+    }
+
+    fn raise(&self, v: f64) {
+        self.update(|now| (v > now).then_some(v));
+    }
+
+    /// Compare-and-swap loop: replaces the value with `f(value)` until it
+    /// lands uncontended, or leaves it alone when `f` answers `None`.
+    fn update(&self, f: impl Fn(f64) -> Option<f64>) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                f(f64::from_bits(bits)).map(f64::to_bits)
+            });
     }
 
     fn set(&self, v: f64) {
@@ -86,6 +88,12 @@ impl Gauge {
         self.cell.add(v);
     }
 
+    /// Raises the gauge to `v` if `v` is larger (a running maximum; CAS
+    /// like [`Counter::add`], so concurrent raises never lose the max).
+    pub fn raise(&self, v: f64) {
+        self.cell.raise(v);
+    }
+
     /// Current value.
     pub fn value(&self) -> f64 {
         self.cell.get()
@@ -113,7 +121,9 @@ struct HistogramCore {
 }
 
 impl Histogram {
-    fn new(bounds: &[f64]) -> Self {
+    /// A histogram outside any registry. Panics unless `bounds` is
+    /// non-empty, finite and strictly ascending.
+    pub fn new(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
@@ -131,15 +141,17 @@ impl Histogram {
 
     /// Records one sample.
     pub fn observe(&self, v: f64) {
+        self.observe_n(v, 1);
+    }
+
+    /// Records `n` samples of the same value `v` (e.g. every rider of a
+    /// batch charged the batch's latency) with one update per cell.
+    pub fn observe_n(&self, v: f64, n: u64) {
         let core = &*self.inner;
-        let idx = core
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(core.bounds.len());
-        core.counts[idx].fetch_add(1, Ordering::Relaxed);
-        core.sum.add(v);
-        core.count.fetch_add(1, Ordering::Relaxed);
+        let idx = core.bounds.partition_point(|&b| b < v);
+        core.counts[idx].fetch_add(n, Ordering::Relaxed);
+        core.sum.add(v * n as f64);
+        core.count.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Total samples observed.
@@ -152,35 +164,15 @@ impl Histogram {
         self.inner.sum.get()
     }
 
-    /// Mean sample (0 when empty).
+    /// Mean sample (0 when empty) — see [`HistogramSnapshot::mean`].
     pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() / n as f64
-        }
+        self.snapshot().mean()
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile (`q` in
-    /// `[0, 1]`) — a bucketed over-estimate, good enough for live
-    /// dashboards. Samples past the last finite bound report that bound.
-    /// Returns 0 when empty.
+    /// Upper bound of the bucket containing the `q`-quantile — see
+    /// [`HistogramSnapshot::quantile`].
     pub fn quantile(&self, q: f64) -> f64 {
-        let core = &*self.inner;
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let target = (q * total as f64).ceil().max(1.0) as u64;
-        let mut cumulative = 0u64;
-        for (i, c) in core.counts.iter().enumerate() {
-            cumulative += c.load(Ordering::Relaxed);
-            if cumulative >= target {
-                return core.bounds[i.min(core.bounds.len() - 1)];
-            }
-        }
-        core.bounds[core.bounds.len() - 1]
+        self.snapshot().quantile(q)
     }
 
     /// Per-bucket counts (finite buckets then the `+Inf` bucket), for
@@ -233,6 +225,11 @@ impl HistogramSnapshot {
         self.sum
     }
 
+    /// Per-bucket counts: the finite buckets in bound order, then `+Inf`.
+    pub fn bucket_counts(&self) -> &[u64] {
+        &self.counts
+    }
+
     /// Mean sample (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -242,22 +239,25 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile — the same
-    /// bucketed over-estimate as [`Histogram::quantile`]. Returns 0 when
-    /// the snapshot is empty.
+    /// Upper bound of the bucket containing the `q`-quantile (`q` in
+    /// `[0, 1]`): the nearest-rank sample's bucket edge, so it over-states
+    /// that sample by at most the ratio between adjacent bounds. Samples
+    /// past the last finite bound report that bound. Returns 0 when the
+    /// snapshot is empty.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
         let target = (q * self.count as f64).ceil().max(1.0) as u64;
+        let last = self.bounds.len() - 1;
         let mut cumulative = 0u64;
         for (i, c) in self.counts.iter().enumerate() {
             cumulative += c;
             if cumulative >= target {
-                return self.bounds[i.min(self.bounds.len() - 1)];
+                return self.bounds[i.min(last)];
             }
         }
-        self.bounds[self.bounds.len() - 1]
+        self.bounds[last]
     }
 
     /// The window between `earlier` and `self`: bucket-wise saturating
@@ -270,21 +270,39 @@ impl HistogramSnapshot {
     /// Panics if the two snapshots have different bucket bounds — they
     /// cannot be from the same histogram.
     pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        assert_eq!(
-            self.bounds, earlier.bounds,
-            "snapshots of different histograms cannot be differenced"
-        );
         HistogramSnapshot {
             bounds: self.bounds.clone(),
-            counts: self
-                .counts
-                .iter()
-                .zip(&earlier.counts)
-                .map(|(now, was)| now.saturating_sub(*was))
-                .collect(),
+            counts: self.zip(earlier, "differenced", u64::saturating_sub),
             sum: (self.sum - earlier.sum).max(0.0),
             count: self.count.saturating_sub(earlier.count),
         }
+    }
+
+    /// The distribution of both snapshots' samples together: bucket-wise
+    /// sums. Bucket counts merge exactly, so a roll-up of per-replica
+    /// snapshots reports the same quantiles as one histogram fed every
+    /// sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two snapshots have different bucket bounds.
+    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
+        HistogramSnapshot {
+            bounds: self.bounds.clone(),
+            counts: self.zip(other, "merged", |a, b| a + b),
+            sum: self.sum + other.sum,
+            count: self.count + other.count,
+        }
+    }
+
+    /// Bucket-wise `f` of two snapshots with the same bounds.
+    fn zip(&self, other: &HistogramSnapshot, verb: &str, f: fn(u64, u64) -> u64) -> Vec<u64> {
+        assert_eq!(
+            self.bounds, other.bounds,
+            "snapshots of different histograms cannot be {verb}"
+        );
+        let pairs = self.counts.iter().zip(&other.counts);
+        pairs.map(|(a, b)| f(*a, *b)).collect()
     }
 }
 
@@ -810,6 +828,25 @@ mod tests {
         let a = Histogram::new(&[1.0]).snapshot();
         let b = Histogram::new(&[2.0]).snapshot();
         let _ = a.since(&b);
+    }
+
+    #[test]
+    fn merged_snapshots_equal_one_histogram_fed_every_sample() {
+        let bounds = [1.0, 2.0, 4.0];
+        let (a, b, flat) = (
+            Histogram::new(&bounds),
+            Histogram::new(&bounds),
+            Histogram::new(&bounds),
+        );
+        a.observe_n(0.5, 3);
+        a.observe_n(1.5, 4);
+        b.observe_n(3.0, 2);
+        b.observe(9.0);
+        for (v, n) in [(0.5, 3), (1.5, 4), (3.0, 2), (9.0, 1)] {
+            flat.observe_n(v, n);
+        }
+        assert_eq!(a.snapshot().merge(&b.snapshot()), flat.snapshot());
+        assert_eq!(flat.snapshot().bucket_counts(), &[3, 4, 2, 1]);
     }
 
     #[test]

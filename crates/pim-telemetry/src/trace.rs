@@ -7,7 +7,7 @@
 //! simulator shares.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -28,16 +28,17 @@ pub struct TraceEvent {
 
 struct Ring {
     buf: VecDeque<TraceEvent>,
-    capacity: usize,
 }
 
 /// A span/event recorder over a bounded ring buffer: when the buffer is
 /// full the **oldest** events are evicted (and counted in
 /// [`dropped`](Tracer::dropped)), so the most recent window is always
-/// retained and recording cost is bounded.
+/// retained and recording cost is bounded. A tracer of capacity 0 keeps
+/// nothing, and recording into it formats no attribute.
 #[derive(Debug)]
 pub struct Tracer {
     epoch: Instant,
+    capacity: usize,
     ring: Mutex<Ring>,
     dropped: AtomicU64,
 }
@@ -46,19 +47,18 @@ impl std::fmt::Debug for Ring {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ring")
             .field("len", &self.buf.len())
-            .field("capacity", &self.capacity)
             .finish()
     }
 }
 
 impl Tracer {
-    /// A tracer retaining at most `capacity` events (min 1).
+    /// A tracer retaining at most `capacity` events (0 keeps none).
     pub fn new(capacity: usize) -> Self {
         Self {
             epoch: Instant::now(),
+            capacity,
             ring: Mutex::new(Ring {
-                buf: VecDeque::with_capacity(capacity.clamp(1, 1 << 20)),
-                capacity: capacity.max(1),
+                buf: VecDeque::with_capacity(capacity.min(1 << 20)),
             }),
             dropped: AtomicU64::new(0),
         }
@@ -81,21 +81,22 @@ impl Tracer {
     }
 
     /// Records an instant event.
-    pub fn event(&self, name: &str, attrs: &[(&str, String)]) {
-        self.record(TraceEvent {
-            ts_ns: self.elapsed_ns(),
-            dur_ns: 0,
-            name: name.to_string(),
-            attrs: attrs
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        });
+    pub fn event(&self, name: &str, attrs: &[(&str, &dyn Display)]) {
+        self.record_span_ending_now(name, Duration::ZERO, attrs);
     }
 
     /// Records a span that ends now and lasted `dur` — for callers that
     /// timed the work themselves (e.g. a queue wait carried on a request).
-    pub fn record_span_ending_now(&self, name: &str, dur: Duration, attrs: &[(&str, String)]) {
+    /// The attributes are formatted only if the tracer keeps events.
+    pub fn record_span_ending_now(
+        &self,
+        name: &str,
+        dur: Duration,
+        attrs: &[(&str, &dyn Display)],
+    ) {
+        if self.capacity == 0 {
+            return;
+        }
         let dur_ns = dur.as_nanos() as u64;
         self.record(TraceEvent {
             ts_ns: self.elapsed_ns().saturating_sub(dur_ns),
@@ -103,15 +104,18 @@ impl Tracer {
             name: name.to_string(),
             attrs: attrs
                 .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
         });
     }
 
     /// Pushes a fully formed event into the ring.
     pub fn record(&self, event: TraceEvent) {
+        if self.capacity == 0 {
+            return;
+        }
         let mut ring = self.ring.lock().expect("trace ring lock");
-        if ring.buf.len() == ring.capacity {
+        if ring.buf.len() == self.capacity {
             ring.buf.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -189,7 +193,7 @@ impl ActiveSpan<'_> {
             &self
                 .attrs
                 .iter()
-                .map(|(k, v)| (k.as_str(), v.clone()))
+                .map(|(k, v)| (k.as_str(), v as &dyn Display))
                 .collect::<Vec<_>>(),
         );
     }
@@ -327,6 +331,21 @@ mod tests {
         assert_eq!(names, vec!["b", "c"]);
         assert_eq!(t.dropped(), 1);
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn zero_capacity_keeps_and_formats_nothing() {
+        struct Unformattable;
+        impl Display for Unformattable {
+            fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                panic!("a tracer that keeps nothing formatted an attribute")
+            }
+        }
+        let t = Tracer::new(0);
+        t.event("x", &[("k", &Unformattable)]);
+        t.record_span_ending_now("y", Duration::from_nanos(5), &[("k", &Unformattable)]);
+        assert!(t.is_empty());
+        assert_eq!(t.dropped(), 0);
     }
 
     #[test]

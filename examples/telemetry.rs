@@ -107,12 +107,10 @@ fn main() {
     .expect("adaptor fits the PEs");
     engine.attach_telemetry(&telemetry);
 
-    // ONE worker on purpose: with a single consumer the telemetry
-    // counters accumulate the exact same f64 additions, in the exact same
-    // order, as the runtime's own StatsCollector ledger — which is what
-    // makes the bit-exact assertions below hold (f64 addition is
-    // order-sensitive, so a worker pool interleaving deltas would agree
-    // only approximately).
+    // `RuntimeStats` is a view of the same registry counters, so the
+    // serve-side checks below hold at any worker count; the learn-side
+    // ones compare the counters against `LearnReport`'s own ledger, which
+    // sees the same deltas in the same order.
     let mut builder = Runtime::builder()
         .workers(1)
         .max_wait(Duration::ZERO)

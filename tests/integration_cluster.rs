@@ -108,7 +108,7 @@ fn one_replica_cluster_is_bit_exact_with_a_bare_runtime() {
         assert_eq!(stats.edp, bare_stats.edp);
         assert_eq!(stats.macs, bare_stats.macs);
         assert_eq!(stats.pe_matvecs, bare_stats.pe_matvecs);
-        assert_eq!(stats.latency_samples_ns, bare_stats.latency_samples_ns);
+        assert_eq!(stats.sim_latency_ns, bare_stats.sim_latency_ns);
     }
 
     // Telemetry counters: the cluster's replica-0-labelled series carry
