@@ -88,7 +88,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Batch-collection wait per replica.
+    /// Sets each replica's
+    /// [`BatchPolicy::max_wait`](pim_runtime::BatchPolicy::max_wait),
+    /// which has no effect: batches are never held open.
     pub fn max_wait(mut self, wait: Duration) -> Self {
         self.max_wait = wait;
         self

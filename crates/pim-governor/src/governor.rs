@@ -20,8 +20,11 @@ use std::time::{Duration, Instant};
 pub struct GovernorConfig {
     /// Hysteresis and rung pacing.
     pub ladder: LadderConfig,
-    /// The coalescing policy applied while the `WidenBatch` rung is on
-    /// (bigger batches, longer waits: throughput over tail latency).
+    /// The coalescing policy applied while the `WidenBatch` rung is on.
+    /// The default raises `max_batch` to 32, so a backlog drains in
+    /// bigger batches: throughput over tail latency. Its `max_wait` has
+    /// no effect, because batches are never held open (see
+    /// [`BatchPolicy::max_wait`]).
     pub wide_batch: BatchPolicy,
 }
 

@@ -3,12 +3,15 @@
 use pim_core::experiments::{live_fig8, Fig8};
 use pim_device::{edp, Energy, Latency};
 use pim_pe::PeStats;
-use pim_runtime::metrics::LatencySummary;
+use pim_runtime::metrics::{latency_histogram, LatencySummary};
 use pim_runtime::RuntimeStats;
+use pim_telemetry::Histogram;
 use std::fmt;
 
-/// Accumulator the [`LearnEngine`](crate::LearnEngine) writes into.
-#[derive(Debug, Clone)]
+/// Accumulator the [`LearnEngine`](crate::LearnEngine) writes into. Its
+/// size is fixed: however many steps and publishes it folds in, it keeps
+/// sums and one bucketed latency histogram, never per-event samples.
+#[derive(Debug)]
 pub struct LearnStats {
     steps: u64,
     samples_trained: u64,
@@ -20,8 +23,8 @@ pub struct LearnStats {
     /// Bits written into the MRAM backbone. Stays zero under the hybrid
     /// contract; tracked so the invariant is observable, not assumed.
     mram_write_bits: u64,
-    /// Simulated latency of each write-back (ns).
-    publish_latencies_ns: Vec<f64>,
+    /// Simulated latency of each write-back (ns), bucketed.
+    publish_latency_ns: Histogram,
     /// Lifetime adaptor budget, copied from the policy at engine build.
     budget_bits: f64,
 }
@@ -37,7 +40,7 @@ impl LearnStats {
             publishes: 0,
             sram: PeStats::new(),
             mram_write_bits: 0,
-            publish_latencies_ns: Vec::new(),
+            publish_latency_ns: latency_histogram(),
             budget_bits,
         }
     }
@@ -54,7 +57,7 @@ impl LearnStats {
     pub fn record_publish(&mut self, delta: &PeStats) {
         self.publishes += 1;
         self.sram += *delta;
-        self.publish_latencies_ns.push(delta.busy_time.as_ns());
+        self.publish_latency_ns.observe(delta.busy_time.as_ns());
     }
 
     /// Folds a (policy-authorized) backbone write in. The hybrid engine
@@ -102,7 +105,7 @@ impl LearnStats {
             write_energy: self.sram.energy.write,
             write_busy: self.sram.busy_time,
             write_cycles: self.sram.cycles,
-            publish_latency: LatencySummary::from_ns(&self.publish_latencies_ns),
+            publish_latency: LatencySummary::from_histogram(&self.publish_latency_ns.snapshot()),
             budget_bits: self.budget_bits,
         }
     }
@@ -141,7 +144,10 @@ pub struct LearnReport {
     pub write_busy: Latency,
     /// Total write-back PE cycles.
     pub write_cycles: u64,
-    /// Distribution of per-publish write-back latencies.
+    /// Distribution of per-publish write-back latencies. The count and
+    /// mean are exact; p50/p95/p99 over-state the nearest-rank sample by
+    /// at most one histogram bucket, 1.25× (see
+    /// [`pim_runtime::metrics`]).
     pub publish_latency: LatencySummary,
     /// Lifetime adaptor write budget (cell-writes; infinite for SRAM).
     pub budget_bits: f64,
@@ -270,6 +276,42 @@ mod tests {
         assert_eq!(stats.budget_used().to_bits(), r.budget_used().to_bits());
         let unbounded = LearnStats::new(f64::INFINITY);
         assert_eq!(unbounded.budget_used(), unbounded.report().budget_used());
+    }
+
+    #[test]
+    fn publish_ledger_stays_bounded_over_a_million_publishes() {
+        const PUBLISHES: u64 = 1_000_000;
+        let mut stats = LearnStats::new(f64::INFINITY);
+        let mut ledger = PeStats::new();
+        let mut ns_sum = 0.0;
+        let buckets = |s: &LearnStats| s.publish_latency_ns.snapshot().bucket_counts().len();
+        let mut after_ten = 0;
+        for i in 0..PUBLISHES {
+            let ns = 20.0 + (i % 50) as f64;
+            let delta = write_delta(3, 0.5, ns);
+            stats.record_publish(&delta);
+            ledger += delta;
+            ns_sum += ns;
+            if i == 9 {
+                after_ten = buckets(&stats);
+            }
+        }
+        assert_eq!(buckets(&stats), after_ten);
+        let r = stats.report();
+        assert_eq!(r.publishes, PUBLISHES);
+        assert_eq!(r.sram_write_bits, 3 * PUBLISHES);
+        assert_eq!(r.write_busy, ledger.busy_time);
+        assert_eq!(r.publish_latency.samples, PUBLISHES);
+        assert_eq!(
+            r.publish_latency.mean.as_ns().to_bits(),
+            (ns_sum / PUBLISHES as f64).to_bits()
+        );
+        // Samples span 20..=69 ns: the median is the nearest-rank 44 ns
+        // sample at its bucket edge, at most 1.25x over it.
+        let p50 = r.publish_latency.p50.as_ns();
+        assert!((44.0..=44.0 * 1.25).contains(&p50), "p50 {p50}");
+        let p99 = r.publish_latency.p99.as_ns();
+        assert!((69.0..=69.0 * 1.25).contains(&p99), "p99 {p99}");
     }
 
     #[test]

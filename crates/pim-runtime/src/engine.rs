@@ -21,8 +21,9 @@ use std::time::{Duration, Instant};
 pub struct BatchPolicy {
     /// Hard cap on riders per PE batch.
     pub max_batch: usize,
-    /// How long a worker holding a non-full batch waits for compatible
-    /// arrivals before dispatching.
+    /// Has no effect: a worker dispatches each batch as soon as it takes
+    /// the seed, with the riders already queued, and never holds one open
+    /// for later arrivals. Kept so existing callers keep compiling.
     pub max_wait: Duration,
 }
 
@@ -136,7 +137,8 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets how long workers hold a non-full batch open.
+    /// Sets [`BatchPolicy::max_wait`], which has no effect: batches are
+    /// never held open.
     pub fn max_wait(mut self, wait: Duration) -> Self {
         self.config.batch.max_wait = wait;
         self

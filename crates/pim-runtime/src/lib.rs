@@ -14,8 +14,10 @@
 //!   simulated PEs), so serving never contends on PE state; workers
 //!   drain one shared bounded request queue.
 //! * **Coalescing batcher** — compatible requests (same model, same
-//!   shape) riding the queue together are merged into one PE batch, up
-//!   to a [`BatchPolicy`] `max_batch` / `max_wait`. Batched results are
+//!   shape) queued together are merged into one PE batch, up to a
+//!   [`BatchPolicy`] `max_batch`. A batch leaves as soon as a worker
+//!   takes it and is never held open for later arrivals, so coalescing
+//!   comes from backlog alone. Batched results are
 //!   bit-exact with sequential execution: the backbone runs in eval mode
 //!   (BatchNorm running stats) and the PE path is per-sample
 //!   independent.

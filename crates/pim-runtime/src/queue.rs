@@ -7,6 +7,12 @@
 //! model's FIFO takes its riders from the *same FIFO's front* — no scan for
 //! compatible requests over a mixed queue.
 //!
+//! Batch formation is work-conserving: a worker dispatches its seed with
+//! whatever riders the seed's FIFO holds at that moment, up to
+//! `max_batch`, and never holds a batch open for more. Batches still grow
+//! under backlog, because riders pile up in the FIFOs while the workers
+//! compute.
+//!
 //! The closed flag, the capacity and quota checks, and the live batching
 //! policy are all read under the lock the FIFOs change under. An admission
 //! racing `close` is therefore either queued (and drained) or refused, and
@@ -17,7 +23,7 @@ use crate::engine::BatchPolicy;
 use crate::request::QueuedRequest;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why an admission was refused, in precedence order: closed, then
 /// capacity, then the model's quota.
@@ -35,7 +41,7 @@ pub(crate) enum AdmitError {
 pub(crate) struct Batch {
     /// The seed, then its riders in submit order; all for one model.
     pub(crate) requests: Vec<QueuedRequest>,
-    /// When the seed was taken (start of batch formation).
+    /// When the seed was taken (batch formation).
     pub(crate) formed: Instant,
     /// Requests still queued once the batch was taken (queue-depth gauge).
     pub(crate) depth: usize,
@@ -64,12 +70,11 @@ impl State {
     }
 }
 
-/// `max_batch` floored at 1, `max_wait` capped at `u64::MAX` ns so a
-/// batching deadline never overflows `Instant`.
+/// `max_batch` floored at 1.
 fn sanitized(policy: BatchPolicy) -> BatchPolicy {
     BatchPolicy {
         max_batch: policy.max_batch.max(1),
-        max_wait: policy.max_wait.min(Duration::from_nanos(u64::MAX)),
+        ..policy
     }
 }
 
@@ -134,9 +139,9 @@ impl AdmissionQueue {
     ///
     /// The seed comes from the first non-empty model FIFO, scanning
     /// round-robin from the worker index so concurrent workers start on
-    /// different models. Riders come from the front of the seed's FIFO up
-    /// to `max_batch`; a non-full batch waits for more until `max_wait`
-    /// after the seed was taken, or until the queue closes.
+    /// different models. Riders are the requests queued behind it in the
+    /// seed's FIFO, from its front, up to `max_batch`. The batch is
+    /// returned at once: it is never held open for later arrivals.
     pub(crate) fn next_batch(&self, worker: usize) -> Option<Batch> {
         let mut state = self.lock();
         let seed = loop {
@@ -149,27 +154,12 @@ impl AdmissionQueue {
             state = self.available.wait(state).expect("queue lock");
         };
         let formed = Instant::now();
-        let policy = state.policy;
-        let deadline = formed + policy.max_wait;
-        let model = seed.model.index();
-        let mut requests = vec![seed];
-        loop {
-            let fifo = &mut state.per_model[model];
-            let take = (policy.max_batch - requests.len()).min(fifo.len());
-            requests.extend(fifo.drain(..take));
-            if requests.len() >= policy.max_batch || state.closed {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            state = self
-                .available
-                .wait_timeout(state, deadline - now)
-                .expect("queue lock")
-                .0;
-        }
+        let max_batch = state.policy.max_batch;
+        let fifo = &mut state.per_model[seed.model.index()];
+        let take = (max_batch - 1).min(fifo.len());
+        let mut requests = Vec::with_capacity(1 + take);
+        requests.push(seed);
+        requests.extend(fifo.drain(..take));
         Some(Batch {
             requests,
             formed,
@@ -202,12 +192,10 @@ impl AdmissionQueue {
         self.lock().policy
     }
 
-    /// Replaces the batching policy and wakes every worker. Each worker
-    /// reads it at its next seed; a batch already being coalesced keeps
-    /// the policy it was seeded under.
+    /// Replaces the batching policy. Each worker reads it when it forms
+    /// its next batch.
     pub(crate) fn set_policy(&self, policy: BatchPolicy) {
         self.lock().policy = sanitized(policy);
-        self.available.notify_all();
     }
 
     /// Sets one model's quota; `false` if `model` is out of range.
@@ -230,6 +218,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{mpsc, Arc};
     use std::thread;
+    use std::time::Duration;
 
     fn req(model: usize, id: u64) -> (QueuedRequest, mpsc::Receiver<crate::InferResponse>) {
         let (tx, rx) = mpsc::channel();
@@ -254,6 +243,50 @@ mod tests {
 
     fn ids(batch: &Batch) -> Vec<u64> {
         batch.requests.iter().map(|r| r.id).collect()
+    }
+
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    /// Takes one batch on a fresh thread and returns its riders, failing
+    /// if that takes a minute: a batch held for `max_wait` fails the test
+    /// instead of hanging it for an hour.
+    fn next_batch_in_time(q: &Arc<AdmissionQueue>, worker: usize) -> Vec<u64> {
+        let (tx, rx) = mpsc::channel();
+        let q = Arc::clone(q);
+        thread::spawn(move || {
+            let batch = q.next_batch(worker).unwrap();
+            let _ = tx.send(ids(&batch));
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("a non-full batch was held open")
+    }
+
+    #[test]
+    fn a_lone_request_is_dispatched_at_once() {
+        let q = Arc::new(AdmissionQueue::new(8, 1, policy(8, HOUR)));
+        q.admit(req(0, 0).0).unwrap();
+        assert_eq!(next_batch_in_time(&q, 0), vec![0]);
+    }
+
+    #[test]
+    fn a_batch_is_not_held_while_a_peer_is_busy() {
+        let q = Arc::new(AdmissionQueue::new(8, 1, policy(3, HOUR)));
+        for id in 0..3 {
+            q.admit(req(0, id).0).unwrap();
+        }
+        let peer = q.next_batch(0).unwrap();
+        assert_eq!(ids(&peer), vec![0, 1, 2]);
+        // Riders queued when the seed is taken join it, up to `max_batch`;
+        // the rest leave in the next batch, without waiting for the peer
+        // or for more.
+        for id in 3..7 {
+            q.admit(req(0, id).0).unwrap();
+        }
+        assert_eq!(next_batch_in_time(&q, 1), vec![3, 4, 5]);
+        assert_eq!(next_batch_in_time(&q, 1), vec![6]);
+        drop(peer);
+        q.close();
+        assert!(q.next_batch(1).is_none());
     }
 
     #[test]

@@ -278,9 +278,9 @@ fn concurrent_load_conserves_every_submitted_request() {
     let model = tiny_model(9);
     let inputs = tiny_inputs(8);
 
-    // Small queues + a long hold-open window: the first riders fill the
-    // open batches, the queues fill behind them, and the rest of the
-    // flood must be rejected — exercising both ledger branches.
+    // Small queues under a flood: while each replica's one worker
+    // computes a batch, its two-slot queue fills behind it and the rest
+    // of the flood must be rejected — exercising both ledger branches.
     let mut builder = ClusterBuilder::new()
         .replicas(2)
         .workers(1)
