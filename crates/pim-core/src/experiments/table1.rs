@@ -18,10 +18,10 @@
 
 use crate::system::{HybridSystem, SystemConfig};
 use pim_data::{downstream_suite, SyntheticSpec, Task};
-use pim_nn::layers::{predictions, softmax_cross_entropy};
+use pim_nn::layers::predictions;
 use pim_nn::models::{Backbone, BackboneConfig, PretrainNet, RepNet};
 use pim_nn::tensor::Tensor;
-use pim_nn::train::{fit, Dataset, FitConfig, Model, Sgd};
+use pim_nn::train::{fit, train_step_from_taps, Dataset, FitConfig, Model, Sgd};
 use pim_sparse::NmPattern;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -237,11 +237,7 @@ fn train_rep_cached(model: &mut RepNet, data: &Dataset, fit_cfg: &FitConfig) {
             let tap_batch: Vec<Tensor> = taps.iter().map(|t| gather(t, chunk)).collect();
             let feat_batch = gather(&features, chunk);
             let labels: Vec<usize> = chunk.iter().map(|&i| data.labels()[i]).collect();
-            model.clear_grads();
-            let logits = model.predict_from_taps(&tap_batch, &feat_batch, true);
-            let (_, grad) = softmax_cross_entropy(&logits, &labels);
-            model.backprop(&grad);
-            sgd.step(model);
+            train_step_from_taps(model, &mut sgd, &tap_batch, &feat_batch, &labels);
         }
     }
 }

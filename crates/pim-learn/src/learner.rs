@@ -3,16 +3,20 @@
 //! Continual learning on-device is a stream, not a dataset: labelled
 //! samples trickle in, and each arrival may trigger a small number of
 //! optimization steps over a bounded **replay buffer** (the streaming
-//! stand-in for an epoch). Each step is exactly one
-//! [`pim_nn::train::train_step`] — the same unit of work the offline
-//! `fit` loop uses — so online and offline training stay numerically
-//! identical given the same batches.
+//! stand-in for an epoch). Each step is one
+//! [`pim_nn::train::train_step_from_taps`] on memoised backbone taps:
+//! the backbone is frozen, so a replayed sample's taps and pooled
+//! features (the paper's "saved activation" buffers) are computed the
+//! first time a step draws it and reused afterwards. The step is
+//! bit-identical to a [`pim_nn::train::train_step`] on the raw inputs,
+//! so online and offline training stay numerically identical given the
+//! same batches.
 
 use crate::error::LearnError;
 use pim_nn::checkpoint::{self, CheckpointError};
 use pim_nn::models::RepNet;
 use pim_nn::tensor::Tensor;
-use pim_nn::train::{train_step, Dataset, Sgd, StepStats};
+use pim_nn::train::{train_step_from_taps, Dataset, Sgd, StepStats};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
@@ -57,11 +61,22 @@ pub struct OnlineLearner {
     model: RepNet,
     sgd: Sgd,
     rng: StdRng,
-    /// `([1, C, H, W] sample, label)` pairs, oldest first.
-    replay: VecDeque<(Tensor, usize)>,
+    /// Replayed samples, oldest first.
+    replay: VecDeque<ReplayEntry>,
     config: OnlineLearnerConfig,
     steps: u64,
     samples_observed: u64,
+}
+
+/// One replay-buffer sample with its memoised backbone outputs.
+struct ReplayEntry {
+    /// The `[1, C, H, W]` sample.
+    input: Tensor,
+    label: usize,
+    /// Per-stage backbone taps and pooled features of `input`, filled the
+    /// first time a step draws the entry and cleared when the backbone
+    /// is restored from a checkpoint.
+    taps: Option<(Vec<Tensor>, Tensor)>,
 }
 
 impl std::fmt::Debug for OnlineLearner {
@@ -120,7 +135,11 @@ impl OnlineLearner {
         if self.replay.len() == self.config.replay_capacity {
             self.replay.pop_front();
         }
-        self.replay.push_back((sample, label));
+        self.replay.push_back(ReplayEntry {
+            input: sample,
+            label,
+            taps: None,
+        });
         self.samples_observed += 1;
     }
 
@@ -144,18 +163,42 @@ impl OnlineLearner {
             return Err(LearnError::EmptyReplay);
         }
         let n = self.config.batch_size.min(self.replay.len());
-        let mut inputs = Vec::with_capacity(n);
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            let idx = self.rng.random_range(0..self.replay.len());
-            let (x, y) = &self.replay[idx];
-            inputs.push(x.clone());
-            labels.push(*y);
-        }
-        let batch = Tensor::stack_batch(&inputs).expect("replay samples share one shape");
-        let stats = train_step(&mut self.model, &mut self.sgd, &batch, &labels);
+        let picks: Vec<usize> = (0..n)
+            .map(|_| self.rng.random_range(0..self.replay.len()))
+            .collect();
+        self.tap_first_use(&picks);
+        let cached: Vec<&(Vec<Tensor>, Tensor)> = picks
+            .iter()
+            .map(|&i| self.replay[i].taps.as_ref().expect("picks were tapped"))
+            .collect();
+        let taps: Vec<Tensor> = (0..cached[0].0.len())
+            .map(|t| stack(cached.iter().map(|c| c.0[t].clone())))
+            .collect();
+        let features = stack(cached.iter().map(|c| c.1.clone()));
+        let labels: Vec<usize> = picks.iter().map(|&i| self.replay[i].label).collect();
+        let stats = train_step_from_taps(&mut self.model, &mut self.sgd, &taps, &features, &labels);
         self.steps += 1;
         Ok(stats)
+    }
+
+    /// Runs the distinct `picks` without memoised taps through one
+    /// batched backbone forward and stores each sample's share.
+    fn tap_first_use(&mut self, picks: &[usize]) {
+        let mut fresh: Vec<usize> = Vec::new();
+        for &i in picks {
+            if self.replay[i].taps.is_none() && !fresh.contains(&i) {
+                fresh.push(i);
+            }
+        }
+        if fresh.is_empty() {
+            return;
+        }
+        let batch = stack(fresh.iter().map(|&i| self.replay[i].input.clone()));
+        let out = self.model.backbone_outputs(&batch);
+        for (j, &i) in fresh.iter().enumerate() {
+            let taps = out.taps.iter().map(|t| t.batch_item(j)).collect();
+            self.replay[i].taps = Some((taps, out.features.batch_item(j)));
+        }
     }
 
     /// The model being trained.
@@ -164,7 +207,11 @@ impl OnlineLearner {
     }
 
     /// Mutable model access (the engine's compile/refresh path needs it).
-    pub fn model_mut(&mut self) -> &mut RepNet {
+    ///
+    /// Callers must not modify the frozen backbone: replay taps are
+    /// memoised against it, and only
+    /// [`load_checkpoint`](Self::load_checkpoint) invalidates them.
+    pub(crate) fn model_mut(&mut self) -> &mut RepNet {
         &mut self.model
     }
 
@@ -195,40 +242,183 @@ impl OnlineLearner {
     }
 
     /// Restores model parameters and BatchNorm state saved by
-    /// [`save_checkpoint`](Self::save_checkpoint).
+    /// [`save_checkpoint`](Self::save_checkpoint). The restore rewrites
+    /// the backbone, so every memoised replay tap is dropped (even when
+    /// loading fails part way) and recomputed on next use.
     ///
     /// # Errors
     ///
     /// Propagates [`CheckpointError`] on format or shape mismatch.
     pub fn load_checkpoint<R: Read>(&mut self, reader: R) -> Result<(), CheckpointError> {
+        for entry in &mut self.replay {
+            entry.taps = None;
+        }
         checkpoint::load(&mut self.model, reader)
     }
+}
+
+/// Stacks same-shaped replay tensors along the batch axis.
+fn stack(items: impl Iterator<Item = Tensor>) -> Tensor {
+    let items: Vec<Tensor> = items.collect();
+    Tensor::stack_batch(&items).expect("replay samples share one shape")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pim_nn::models::{Backbone, BackboneConfig, RepNetConfig};
-    use pim_nn::train::Model;
+    use pim_nn::train::{train_step, Model};
 
-    fn tiny_learner(seed: u64) -> OnlineLearner {
-        let model = RepNet::new(
+    fn tiny_model() -> RepNet {
+        RepNet::new(
             Backbone::new(BackboneConfig::tiny()),
             RepNetConfig {
                 rep_channels: 4,
                 num_classes: 3,
                 seed: 5,
             },
-        );
-        OnlineLearner::new(
-            model,
-            OnlineLearnerConfig {
-                replay_capacity: 8,
-                batch_size: 4,
-                seed,
-                ..OnlineLearnerConfig::default()
-            },
         )
+    }
+
+    fn tiny_config(seed: u64) -> OnlineLearnerConfig {
+        OnlineLearnerConfig {
+            replay_capacity: 8,
+            batch_size: 4,
+            seed,
+            ..OnlineLearnerConfig::default()
+        }
+    }
+
+    fn tiny_learner(seed: u64) -> OnlineLearner {
+        OnlineLearner::new(tiny_model(), tiny_config(seed))
+    }
+
+    /// The learner without memoisation: the same replay draws, with the
+    /// raw inputs stacked through the full-forward [`train_step`].
+    struct Reference {
+        model: RepNet,
+        sgd: Sgd,
+        rng: StdRng,
+        replay: VecDeque<(Tensor, usize)>,
+        config: OnlineLearnerConfig,
+    }
+
+    impl Reference {
+        fn new(model: RepNet, config: OnlineLearnerConfig) -> Self {
+            Self {
+                model,
+                sgd: Sgd::new(config.lr, config.momentum, config.weight_decay),
+                rng: StdRng::seed_from_u64(config.seed),
+                replay: VecDeque::new(),
+                config,
+            }
+        }
+
+        fn observe(&mut self, x: &Tensor, label: usize) {
+            if self.replay.len() == self.config.replay_capacity {
+                self.replay.pop_front();
+            }
+            self.replay.push_back((x.clone(), label));
+        }
+
+        fn step(&mut self) -> StepStats {
+            let n = self.config.batch_size.min(self.replay.len());
+            let (inputs, labels): (Vec<Tensor>, Vec<usize>) = (0..n)
+                .map(|_| self.replay[self.rng.random_range(0..self.replay.len())].clone())
+                .unzip();
+            let batch = Tensor::stack_batch(&inputs).expect("one sample shape");
+            train_step(&mut self.model, &mut self.sgd, &batch, &labels)
+        }
+    }
+
+    /// A distinct `[1, 1, 8, 8]` sample per index (period 29).
+    fn distinct_sample(i: usize) -> Tensor {
+        Tensor::from_vec(
+            vec![1, 1, 8, 8],
+            (0..64)
+                .map(|v| ((v * 7 + i * 13) % 29) as f32 / 29.0)
+                .collect(),
+        )
+        .expect("sample shape")
+    }
+
+    /// Every parameter and BatchNorm buffer, as raw bits.
+    fn state_bits(model: &mut RepNet) -> Vec<u32> {
+        let mut bits = Vec::new();
+        model.params(&mut |p| bits.extend(p.value.as_slice().iter().map(|v| v.to_bits())));
+        model.buffers(&mut |b| bits.extend(b.iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    /// Steps both sides `steps` times, asserting bit-identical step stats
+    /// and model state.
+    fn assert_steps_match(learner: &mut OnlineLearner, reference: &mut Reference, steps: usize) {
+        for _ in 0..steps {
+            let (got, want) = (learner.step().expect("step"), reference.step());
+            assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "loss bits");
+            assert_eq!((got.correct, got.batch), (want.correct, want.batch));
+        }
+        assert_eq!(
+            state_bits(learner.model_mut()),
+            state_bits(&mut reference.model),
+            "parameters are bit-identical"
+        );
+    }
+
+    fn memoised_steps_match_full_forward(int8_eval: bool) {
+        let mut learner = tiny_learner(11);
+        let mut reference = Reference::new(tiny_model(), tiny_config(11));
+        learner.model_mut().set_int8_eval(int8_eval);
+        reference.model.set_int8_eval(int8_eval);
+        // 6 rounds × 5 arrivals overflow the 8-sample replay, so tapped
+        // entries are evicted and fresh ones tapped on later draws.
+        for round in 0..6 {
+            for i in 0..5 {
+                let k = round * 5 + i;
+                learner.observe(&distinct_sample(k), k % 3);
+                reference.observe(&distinct_sample(k), k % 3);
+            }
+            assert_steps_match(&mut learner, &mut reference, 4);
+        }
+        assert_eq!(learner.samples_observed(), 30);
+        assert_eq!(learner.replay_len(), 8);
+    }
+
+    #[test]
+    fn memoised_taps_are_bit_exact_with_full_forward_steps() {
+        memoised_steps_match_full_forward(false);
+    }
+
+    #[test]
+    fn memoised_taps_are_bit_exact_under_int8_eval() {
+        memoised_steps_match_full_forward(true);
+    }
+
+    #[test]
+    fn load_checkpoint_drops_memoised_taps() {
+        let mut learner = tiny_learner(13);
+        let mut reference = Reference::new(tiny_model(), tiny_config(13));
+        for k in 0..12 {
+            learner.observe(&distinct_sample(k), k % 3);
+            reference.observe(&distinct_sample(k), k % 3);
+        }
+        assert_steps_match(&mut learner, &mut reference, 4);
+        let mut saved = Vec::new();
+        learner.save_checkpoint(&mut saved).expect("save");
+
+        // Steps never move the frozen backbone, so stale taps would equal
+        // fresh ones after restoring the same backbone. A donor checkpoint
+        // with a requantized backbone makes every tap memoised before a
+        // load disagree with the backbone loaded after it.
+        let mut donor = tiny_model();
+        donor.backbone_mut().quantize_weights_int8();
+        let mut requantized = Vec::new();
+        checkpoint::save(&mut donor, &mut requantized).expect("save donor");
+        for bytes in [&requantized, &saved] {
+            learner.load_checkpoint(bytes.as_slice()).expect("load");
+            checkpoint::load(&mut reference.model, bytes.as_slice()).expect("load");
+            assert_steps_match(&mut learner, &mut reference, 4);
+        }
     }
 
     fn feed(learner: &mut OnlineLearner, samples: usize) {

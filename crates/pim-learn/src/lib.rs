@@ -7,8 +7,9 @@
 //!
 //! * **Incremental training** — [`OnlineLearner`] feeds a labelled sample
 //!   stream through a bounded replay buffer and takes
-//!   [`pim_nn::train::train_step`] SGD steps (the exact unit of work of
-//!   the offline `fit` loop), backbone frozen.
+//!   [`pim_nn::train::train_step_from_taps`] SGD steps on memoised
+//!   backbone taps (bit-identical to the offline `fit` loop's
+//!   `train_step`), backbone frozen.
 //! * **Differential write-back** — [`LearnEngine`] keeps the adaptor
 //!   *resident* as loaded SRAM PE tiles (`pim_core::pe_inference::PeRepNet`)
 //!   and, on [`LearnEngine::write_back`], re-quantizes each tile's block

@@ -324,8 +324,9 @@ impl RepNet {
 
     /// Runs only the frozen backbone, returning its taps and pooled
     /// features. Because the backbone never trains, callers can cache this
-    /// per dataset (the paper's "saved activation" buffers) and train the
-    /// rep path from the cache via [`predict_from_taps`].
+    /// per sample (the paper's "saved activation" buffers) and train the
+    /// rep path from the cache via [`predict_from_taps`] (or
+    /// [`train_step_from_taps`](crate::train::train_step_from_taps)).
     ///
     /// [`predict_from_taps`]: Self::predict_from_taps
     pub fn backbone_outputs(&mut self, input: &Tensor) -> crate::models::BackboneOutput {

@@ -1,6 +1,7 @@
 //! SGD optimizer, datasets, and the training / evaluation loops.
 
 use crate::layers::{predictions, softmax_cross_entropy, Layer, Param};
+use crate::models::RepNet;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -406,9 +407,9 @@ impl StepStats {
 /// Performs one incremental optimization step on a single labelled batch:
 /// forward, softmax cross-entropy, backprop, SGD update.
 ///
-/// This is the unit of work of both the offline [`fit`] loop and online
-/// continual learning (`pim-learn`), where batches arrive from a stream
-/// instead of a fixed dataset and the optimizer lives across calls.
+/// This is the unit of work of the offline [`fit`] loop; online continual
+/// learning (`pim-learn`) takes the same step from memoised backbone taps
+/// through [`train_step_from_taps`].
 ///
 /// # Panics
 ///
@@ -428,8 +429,48 @@ pub fn train_step(
     );
     model.clear_grads();
     let logits = model.predict(x, true);
-    let (loss, grad) = softmax_cross_entropy(&logits, labels);
-    let correct = predictions(&logits)
+    descend(model, sgd, &logits, labels)
+}
+
+/// [`train_step`] for a [`RepNet`] whose frozen-backbone taps and pooled
+/// features were computed earlier by [`RepNet::backbone_outputs`] (the
+/// paper's "saved activation" buffers): the same clear, forward of the
+/// learnable path only, loss, backprop and SGD update. Because the
+/// backbone never trains, the step is bit-identical to [`train_step`] on
+/// the inputs the taps came from.
+///
+/// # Panics
+///
+/// Panics if `labels` is empty, its length differs from the batch
+/// dimension of `features`, or `taps` has not one tensor per rep module.
+pub fn train_step_from_taps(
+    model: &mut RepNet,
+    sgd: &mut Sgd,
+    taps: &[Tensor],
+    features: &Tensor,
+    labels: &[usize],
+) -> StepStats {
+    assert!(!labels.is_empty(), "cannot step on an empty batch");
+    assert_eq!(
+        features.shape().first().copied().unwrap_or(0),
+        labels.len(),
+        "batch dimension must match label count"
+    );
+    model.clear_grads();
+    let logits = model.predict_from_taps(taps, features, true);
+    descend(model, sgd, &logits, labels)
+}
+
+/// The shared tail of a training step: loss on `logits`, backprop, one
+/// SGD update.
+fn descend(
+    model: &mut (impl Model + ?Sized),
+    sgd: &mut Sgd,
+    logits: &Tensor,
+    labels: &[usize],
+) -> StepStats {
+    let (loss, grad) = softmax_cross_entropy(logits, labels);
+    let correct = predictions(logits)
         .iter()
         .zip(labels)
         .filter(|(p, l)| p == l)
