@@ -180,7 +180,7 @@ fn bench(c: &mut Criterion) {
         },
     );
     model.apply_pattern(NmPattern::one_of_four());
-    let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+    let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
     let indices: Vec<usize> = (0..8).collect();
     let (images, _) = task.test.batch(&indices);
     g.bench_function("pe_repnet_predict_batch8", |b| {

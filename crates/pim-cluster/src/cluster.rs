@@ -14,10 +14,11 @@ use std::time::Duration;
 /// Configures and starts a [`Cluster`].
 ///
 /// Every registered model is sharded across `macro_groups` simulated
-/// macro groups **once**, then the sharded artifact is cloned into each
-/// of `replicas` independent [`Runtime`]s — so the fleet is
-/// `replicas × macro_groups` macros of simulated silicon serving
-/// `replicas` copies of the model.
+/// macro groups **once**, then each of `replicas` independent
+/// [`Runtime`]s serves that sharded artifact (one immutable copy in
+/// memory, shared by reference count) — so the simulated fleet is
+/// `replicas × macro_groups` macros of silicon serving `replicas` copies
+/// of the model.
 #[derive(Debug)]
 pub struct ClusterBuilder {
     replicas: usize,
@@ -431,8 +432,10 @@ impl Cluster {
     /// offline ([`CompiledModel::infer_reference`]), and the new version
     /// is swapped into replica 0 only. A live inference through that
     /// canary must reproduce the reference logits bit-for-bit; then the
-    /// rollout proceeds fleet-wide (each remaining replica RCU-swaps at
-    /// its next batch boundary). If the canary diverges, replica 0 is
+    /// rollout proceeds fleet-wide (each remaining replica RCU-swaps: its
+    /// next formed batch serves the new version). Artifacts are shared,
+    /// not copied: the rollback copy and every replica's artifact are
+    /// reference-count bumps. If the canary diverges, replica 0 is
     /// rolled back to the previous artifact and the fleet keeps serving
     /// the old version.
     ///

@@ -17,7 +17,7 @@
 //! the NN-side fake-quant model on the overwhelming majority of inputs.
 
 use pim_nn::layers::predictions;
-use pim_nn::models::RepNet;
+use pim_nn::models::{BackboneOutput, BackboneScratch, FrozenBackbone, RepNet};
 use pim_nn::quant::QuantParams;
 use pim_nn::sparse::{SparseConv2d, SparseLinear};
 use pim_nn::tensor::Tensor;
@@ -47,27 +47,58 @@ pub(crate) struct PeTile {
     pub(crate) col_end: usize,
     /// Occupied CSC slots — the MACs one matvec on this tile performs.
     pub(crate) nnz: u64,
+    /// The resident program's per-matvec bill, fixed at load time: the
+    /// run ledger folds it without touching the PE.
+    pub(crate) cost: MatvecCost,
 }
 
-/// Reusable per-layer working buffers — quantized inputs, PE
-/// accumulators, classifier row staging, and the per-tile cost replay
-/// list. Buffers grow to the layer's steady-state sizes on first use and
-/// are reused thereafter, so the per-position / per-matvec hot loop
-/// performs no heap allocation after warmup (the direct-conv gather rows
-/// live in a per-executor [`ScratchArena`], reused across jobs).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Scratch {
+impl PeTile {
+    fn new(pe: SramSparsePe, col_start: usize, col_end: usize, nnz: u64) -> Self {
+        let cost = pe.matvec_cost().expect("tile loaded before it is wrapped");
+        Self {
+            pe,
+            col_start,
+            col_end,
+            nnz,
+            cost,
+        }
+    }
+}
+
+/// One caller's working memory for running compiled branches: the
+/// backbone's convolution arenas, the PE layers' quantized inputs and
+/// accumulators, and the classifier's feature rows. A serving worker owns
+/// one and reuses it for every batch of every model it serves: buffers
+/// grow to the largest layer on first use, so after warm-up a forward
+/// pass allocates no scratch. Cloning yields empty scratch — its contents
+/// are never state.
+#[derive(Debug, Default)]
+pub struct PeScratch {
+    pub(crate) backbone: BackboneScratch,
+    pub(crate) layer: LayerScratch,
+    clf_rows: Vec<f32>,
+    /// Matvecs per tile of each PE layer in the last run, in layer order
+    /// (module-major proj, conv3, conv1, then the classifier).
+    pub(crate) layer_rows: Vec<usize>,
+}
+
+impl Clone for PeScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+/// The PE layers' share of [`PeScratch`]: quantized inputs, per-input
+/// scales and PE accumulators. Layers run one after another, so one set
+/// serves them all.
+#[derive(Debug, Default)]
+pub(crate) struct LayerScratch {
     /// `batch × reduction` quantized activations.
     x_q: Vec<i8>,
     /// Per-input dequantization scale (`weight_scale × activation_scale`).
     scales: Vec<f32>,
-    /// `batch × tile_cols` raw PE accumulators of the current tile.
+    /// `batch × tile_cols` raw PE accumulators of every tile.
     acc: Vec<i32>,
-    /// Staged input rows (the classifier's pooled feature batch).
-    pub(crate) patches: Vec<f32>,
-    /// Per-tile `(cost, nnz)` of the last batched call, replayed into the
-    /// run ledger in the sequential (input-major, tile-minor) order.
-    pub(crate) costs: Vec<(MatvecCost, u64)>,
     /// Prefix offsets of each tile's region in the shared `acc` arena
     /// (`tiles + 1` entries) — lets parallel tile tasks write disjointly.
     tile_off: Vec<usize>,
@@ -116,7 +147,6 @@ pub(crate) struct PeLayer {
     pub(crate) kernel: usize,
     pub(crate) stride: usize,
     pub(crate) padding: usize,
-    pub(crate) scratch: Scratch,
 }
 
 impl PeLayer {
@@ -144,12 +174,7 @@ impl PeLayer {
             let csc = CscMatrix::compress(&block, &mask).expect("mask fits block");
             let mut pe = SramSparsePe::new();
             pe.load(&csc)?;
-            tiles.push(PeTile {
-                pe,
-                col_start: c,
-                col_end: end,
-                nnz: csc.nnz() as u64,
-            });
+            tiles.push(PeTile::new(pe, c, end, csc.nnz() as u64));
             c = end;
         }
         Ok(Self {
@@ -162,7 +187,6 @@ impl PeLayer {
             kernel,
             stride,
             padding,
-            scratch: Scratch::default(),
         })
     }
 
@@ -193,60 +217,37 @@ impl PeLayer {
             tile.pe.update(&csc)?;
             delta += tile.pe.stats().since(&before);
             tile.nnz = csc.nnz() as u64;
+            tile.cost = tile.pe.matvec_cost()?;
         }
         self.weight_scale = params.scale();
         self.bias = bias.to_vec();
         Ok(delta)
     }
 
-    /// Batched quantized matvecs through the tiles:
-    /// `out[b] = deq(PE(q(xs[b]))) + bias` for each of the `batch`
-    /// row-major input rows, activations quantized **per input** exactly
-    /// as sequential execution does. The compute fans out over `pool` as a
-    /// tile × batch-block grid (each cell runs
-    /// [`SramSparsePe::matvec_batch_compute`] into its own region of the
-    /// accumulator arena and its own rows/columns of `out`), then the
-    /// `batch × tiles` matvec bills are folded into the ledgers **after
-    /// the join, serially**, in the sequential (input, tile) order — so
-    /// both outputs and the f64 run ledger are bit-identical to
-    /// one-at-a-time calls regardless of thread count or interleaving.
-    /// Zero heap allocation after the layer scratch has warmed up.
-    pub(crate) fn forward_batch(
-        &mut self,
-        xs: &[f32],
-        batch: usize,
-        out: &mut [f32],
-        stats: &mut PeRunStats,
-        pool: &WorkPool,
-    ) {
-        self.forward_batch_compute(xs, batch, out, pool);
-        self.replay_costs(batch, stats);
-    }
-
-    /// The compute half of [`forward_batch`](PeLayer::forward_batch):
-    /// quantizes, runs the tile × batch-block grid, folds each tile's own
-    /// ledger, and leaves the per-tile `(cost, nnz)` bills in
-    /// `scratch.costs` — **without** touching the run ledger. The sharded
-    /// execution path calls this on every macro group and then interleaves
-    /// all groups' bills into the canonical global replay order itself.
+    /// The compute half of [`forward_batch`](BranchLayer::forward_batch):
+    /// quantizes and runs the tile × batch-block grid **without**
+    /// touching any ledger. The sharded execution path calls this on
+    /// every macro group and then interleaves all groups' bills into the
+    /// canonical global replay order itself.
     pub(crate) fn forward_batch_compute(
-        &mut self,
+        &self,
         xs: &[f32],
         batch: usize,
         out: &mut [f32],
+        scratch: &mut LayerScratch,
         pool: &WorkPool,
     ) {
         debug_assert_eq!(xs.len(), batch * self.reduction);
         debug_assert_eq!(out.len(), batch * self.outputs);
         let reduction = self.reduction;
         let outputs = self.outputs;
-        self.scratch.x_q.resize(batch * reduction, 0);
-        self.scratch.scales.resize(batch, 0.0);
+        scratch.x_q.resize(batch * reduction, 0);
+        scratch.scales.resize(batch, 0.0);
         {
             // Per-input quantization is row-local, so rows fan out freely.
             let weight_scale = self.weight_scale;
-            let x_q = SharedSliceMut::new(&mut self.scratch.x_q);
-            let scales = SharedSliceMut::new(&mut self.scratch.scales);
+            let x_q = SharedSliceMut::new(&mut scratch.x_q);
+            let scales = SharedSliceMut::new(&mut scratch.scales);
             pool.for_each_chunk(batch, par_block(batch, pool.threads()), |rows| {
                 // SAFETY: chunk row ranges are disjoint, so the x_q and
                 // scales regions they map to are disjoint too.
@@ -268,14 +269,13 @@ impl PeLayer {
         // Tile × batch-block compute grid. Integer kernel outputs depend
         // only on their own (input, column) pair, so the block split is
         // bit-transparent; no ledger is touched until after the join.
-        let Scratch {
+        let LayerScratch {
             x_q,
             scales,
             acc,
             tile_off,
-            costs,
             ..
-        } = &mut self.scratch;
+        } = scratch;
         tile_off.clear();
         tile_off.push(0);
         for tile in &self.tiles {
@@ -323,30 +323,25 @@ impl PeLayer {
                 }
             });
         }
+    }
 
-        // Deterministic accounting after the join: each tile's own ledger
-        // folds its `batch` matvecs sequentially (tile-local f64 order is
-        // what the fused call used), then the run ledger replays
-        // input-major, tile-minor — the exact sequential-execution order.
-        costs.clear();
-        for tile in &mut self.tiles {
-            let cost = tile
-                .pe
-                .record_matvecs(batch)
-                .expect("tile loaded at compile time");
-            costs.push((cost, tile.nnz));
+    /// Folds `batch` matvecs of every tile into the run ledger
+    /// input-major, tile-minor — the sequential-execution order.
+    pub(crate) fn replay_costs(&self, batch: usize, stats: &mut PeRunStats) {
+        for _ in 0..batch {
+            for tile in &self.tiles {
+                stats.record_matvec_cost(&tile.cost, tile.nnz);
+            }
         }
     }
 
-    /// Replays the bills staged by the last
-    /// [`forward_batch_compute`](PeLayer::forward_batch_compute) into the
-    /// run ledger input-major, tile-minor — the sequential-execution
-    /// order.
-    pub(crate) fn replay_costs(&self, batch: usize, stats: &mut PeRunStats) {
-        for _ in 0..batch {
-            for &(cost, nnz) in self.scratch.costs.iter() {
-                stats.record_matvec_cost(&cost, nnz);
-            }
+    /// Folds `count` matvecs into each tile's own cumulative ledger, in
+    /// the order the PE's fused batched call accounts them.
+    fn record_tile_ledgers(&mut self, count: usize) {
+        for tile in &mut self.tiles {
+            tile.pe
+                .record_matvecs(count)
+                .expect("tile loaded at compile time");
         }
     }
 
@@ -375,7 +370,6 @@ impl PeLayer {
                 kernel: self.kernel,
                 stride: self.stride,
                 padding: self.padding,
-                scratch: Scratch::default(),
             })
             .collect()
     }
@@ -386,43 +380,17 @@ impl PeLayer {
         self.tiles.iter().map(|t| *t.pe.stats()).sum()
     }
 
-    /// Direct sparse convolution over an NCHW tensor — **no im2col
-    /// round-trip**. Each of the `n × oh×ow` output positions streams
-    /// through the pipeline whole: its window is gathered into a
-    /// task-local row, calibrated and quantized immediately (same values
-    /// as the staged path, so the per-row scale is bit-identical), the
-    /// tile × row-block grid runs over the quantized rows, and each cell
-    /// dequantizes its accumulators **directly into the strided NCHW
-    /// output** — the `rows × reduction` f32 patch arena and the
-    /// `rows × outputs` staged arena of the old path are never written.
-    /// The flat `(position, tile)` cost replay is the same sequence the
-    /// merged im2col call billed, so the ledgers are unchanged.
-    pub(crate) fn conv_forward(
-        &mut self,
-        input: &Tensor,
-        stats: &mut PeRunStats,
-        pool: &WorkPool,
-    ) -> Tensor {
-        let s = input.shape();
-        let (n, h, w) = (s[0], s[2], s[3]);
-        let (oh, ow) = conv_out_dims(h, w, self.kernel, self.stride, self.padding);
-        let mut out = Tensor::zeros(&[n, self.outputs, oh, ow]);
-        self.conv_forward_compute(input, out.as_mut_slice(), pool);
-        self.replay_costs(n * oh * ow, stats);
-        out
-    }
-
-    /// The compute half of [`conv_forward`](PeLayer::conv_forward):
-    /// fused gather + quantize fan-out, tile × row-block PE grid with
-    /// strided NCHW dequant writes, bills staged in `scratch.costs` —
-    /// without touching the run ledger. The sharded path calls this per
-    /// macro group (each group re-gathers the broadcast activations and
-    /// writes only its own output channels) and interleaves the groups'
-    /// bills itself.
+    /// The compute half of [`conv_forward`](BranchLayer::conv_forward):
+    /// fused gather + quantize fan-out and tile × row-block PE grid with
+    /// strided NCHW dequant writes, without touching any ledger. The
+    /// sharded path calls this per macro group (each group re-gathers the
+    /// broadcast activations and writes only its own output channels) and
+    /// interleaves the groups' bills itself.
     pub(crate) fn conv_forward_compute(
-        &mut self,
+        &self,
         input: &Tensor,
         out: &mut [f32],
+        scratch: &mut LayerScratch,
         pool: &WorkPool,
     ) {
         let s = input.shape();
@@ -436,9 +404,9 @@ impl PeLayer {
         let reduction = self.reduction;
         let outputs = self.outputs;
         let x = input.as_slice();
-        self.scratch.x_q.resize(rows * reduction, 0);
-        self.scratch.scales.resize(rows, 0.0);
-        self.scratch.row_bufs.ensure_slots(pool.threads());
+        scratch.x_q.resize(rows * reduction, 0);
+        scratch.scales.resize(rows, 0.0);
+        scratch.row_bufs.ensure_slots(pool.threads());
         {
             // Fused gather + calibrate + quantize: each position's window
             // lands in a per-executor arena row and leaves it as INT8 —
@@ -446,9 +414,9 @@ impl PeLayer {
             // identical per-row scale and identical quantized codes.
             let weight_scale = self.weight_scale;
             let (stride, padding) = (self.stride, self.padding);
-            let x_q = SharedSliceMut::new(&mut self.scratch.x_q);
-            let scales = SharedSliceMut::new(&mut self.scratch.scales);
-            let row_bufs = &self.scratch.row_bufs;
+            let x_q = SharedSliceMut::new(&mut scratch.x_q);
+            let scales = SharedSliceMut::new(&mut scratch.scales);
+            let row_bufs = &scratch.row_bufs;
             pool.for_each_chunk(rows, par_block(rows, pool.threads()), |range| {
                 // SAFETY: chunk row ranges are disjoint, so the x_q and
                 // scales regions they map to are disjoint too.
@@ -477,14 +445,13 @@ impl PeLayer {
         // Tile × row-block compute grid, as in `forward_batch_compute`,
         // except each cell dequantizes straight into its own strided
         // (image, channel, position) cells of the NCHW output.
-        let Scratch {
+        let LayerScratch {
             x_q,
             scales,
             acc,
             tile_off,
-            costs,
             ..
-        } = &mut self.scratch;
+        } = scratch;
         tile_off.clear();
         tile_off.push(0);
         for tile in &self.tiles {
@@ -537,25 +504,17 @@ impl PeLayer {
                 }
             });
         }
-
-        costs.clear();
-        for tile in &mut self.tiles {
-            let cost = tile
-                .pe
-                .record_matvecs(rows)
-                .expect("tile loaded at compile time");
-            costs.push((cost, tile.nnz));
-        }
     }
 
     /// Reference im2col convolution — gather the full patch matrix, run
     /// one merged batched call, scatter the staged rows into NCHW. Kept
     /// as the differential oracle the streaming
-    /// [`conv_forward`](PeLayer::conv_forward) is tested against.
+    /// [`conv_forward`](BranchLayer::conv_forward) is tested against.
     #[cfg(test)]
     pub(crate) fn conv_forward_im2col(
-        &mut self,
+        &self,
         input: &Tensor,
+        scratch: &mut LayerScratch,
         stats: &mut PeRunStats,
         pool: &WorkPool,
     ) -> Tensor {
@@ -579,7 +538,7 @@ impl PeLayer {
             &mut patches,
             pool,
         );
-        self.forward_batch(&patches, rows, &mut staged, stats, pool);
+        self.forward_batch(&patches, rows, &mut staged, scratch, stats, pool);
         scatter_staged(
             &staged,
             out.as_mut_slice(),
@@ -759,16 +718,181 @@ fn pattern_of_linear(fc: &SparseLinear) -> NmPattern {
         .unwrap_or_else(|| NmPattern::new(4, 4).expect("dense encoding"))
 }
 
-/// One Rep-Net module compiled onto PEs.
+/// One Rep-Net module compiled onto PEs: `L` is a single-macro
+/// [`PeLayer`] or a layer sharded across macro groups.
 #[derive(Debug, Clone)]
-pub(crate) struct PeModule {
+pub(crate) struct PeModule<L = PeLayer> {
     pub(crate) pools_prev: bool,
-    pub(crate) proj: PeLayer,
-    pub(crate) conv3: PeLayer,
-    pub(crate) conv1: PeLayer,
+    pub(crate) proj: L,
+    pub(crate) conv3: L,
+    pub(crate) conv1: L,
+}
+
+/// What the branch forward needs of a compiled layer, whether its tiles
+/// sit in one macro or are dealt across several.
+pub(crate) trait BranchLayer {
+    fn outputs(&self) -> usize;
+    fn reduction(&self) -> usize;
+    fn conv_forward(
+        &self,
+        input: &Tensor,
+        scratch: &mut LayerScratch,
+        stats: &mut PeRunStats,
+        pool: &WorkPool,
+    ) -> Tensor;
+    fn forward_batch(
+        &self,
+        xs: &[f32],
+        batch: usize,
+        out: &mut [f32],
+        scratch: &mut LayerScratch,
+        stats: &mut PeRunStats,
+        pool: &WorkPool,
+    );
+}
+
+impl BranchLayer for PeLayer {
+    fn outputs(&self) -> usize {
+        self.outputs
+    }
+
+    fn reduction(&self) -> usize {
+        self.reduction
+    }
+
+    /// Direct sparse convolution over an NCHW tensor — **no im2col
+    /// round-trip**. Each of the `n × oh×ow` output positions streams
+    /// through the pipeline whole: its window is gathered into a
+    /// task-local row, calibrated and quantized immediately (same values
+    /// as the staged path, so the per-row scale is bit-identical), the
+    /// tile × row-block grid runs over the quantized rows, and each cell
+    /// dequantizes its accumulators **directly into the strided NCHW
+    /// output** — the `rows × reduction` f32 patch arena and the
+    /// `rows × outputs` staged arena of the old path are never written.
+    /// The flat `(position, tile)` cost replay is the same sequence the
+    /// merged im2col call billed, so the ledgers are unchanged.
+    fn conv_forward(
+        &self,
+        input: &Tensor,
+        scratch: &mut LayerScratch,
+        stats: &mut PeRunStats,
+        pool: &WorkPool,
+    ) -> Tensor {
+        let s = input.shape();
+        let (n, h, w) = (s[0], s[2], s[3]);
+        let (oh, ow) = conv_out_dims(h, w, self.kernel, self.stride, self.padding);
+        let mut out = Tensor::zeros(&[n, self.outputs, oh, ow]);
+        self.conv_forward_compute(input, out.as_mut_slice(), scratch, pool);
+        self.replay_costs(n * oh * ow, stats);
+        out
+    }
+
+    /// Batched quantized matvecs through the tiles:
+    /// `out[b] = deq(PE(q(xs[b]))) + bias` for each of the `batch`
+    /// row-major input rows, activations quantized **per input** exactly
+    /// as sequential execution does. The compute fans out over `pool` as a
+    /// tile × batch-block grid (each cell runs
+    /// [`SramSparsePe::matvec_batch_compute`] into its own region of the
+    /// accumulator arena and its own rows/columns of `out`), then the
+    /// `batch × tiles` matvec bills are folded into the run ledger
+    /// **after the join, serially**, in the sequential (input, tile) order
+    /// — so both outputs and the f64 run ledger are bit-identical to
+    /// one-at-a-time calls regardless of thread count or interleaving.
+    /// Zero heap allocation after the scratch has warmed up.
+    fn forward_batch(
+        &self,
+        xs: &[f32],
+        batch: usize,
+        out: &mut [f32],
+        scratch: &mut LayerScratch,
+        stats: &mut PeRunStats,
+        pool: &WorkPool,
+    ) {
+        self.forward_batch_compute(xs, batch, out, scratch, pool);
+        self.replay_costs(batch, stats);
+    }
+}
+
+/// The learnable branch over the frozen backbone's outputs: every MAC on
+/// the compiled layers, elementwise glue (mix, ReLU, pooling) in the
+/// digital periphery. Returns logits and the run ledger, folded in the
+/// sequential order whatever the layers' macro topology, and leaves each
+/// layer's matvec count per tile in `scratch.layer_rows`.
+pub(crate) fn branch_forward<L: BranchLayer>(
+    modules: &[PeModule<L>],
+    classifier: &L,
+    feature_width: usize,
+    out: &BackboneOutput,
+    scratch: &mut PeScratch,
+    pool: &WorkPool,
+) -> (Tensor, PeRunStats) {
+    let mut stats = PeRunStats::default();
+    let batch = out.features.shape()[0];
+    let PeScratch {
+        layer,
+        clf_rows,
+        layer_rows,
+        ..
+    } = scratch;
+    layer_rows.clear();
+    let positions = |t: &Tensor| t.len() / t.shape()[1];
+    let mut rep: Option<Tensor> = None;
+    for (module, tap) in modules.iter().zip(&out.taps) {
+        // Activation connector on PE.
+        let projected = module.proj.conv_forward(tap, layer, &mut stats, pool);
+        layer_rows.push(positions(&projected));
+        // Mix with the (pooled) carried state; digital periphery.
+        let mut a = match (&rep, module.pools_prev) {
+            (Some(r), true) => projected.add(&avg_pool2(r)).expect("rep shapes align"),
+            (Some(r), false) => projected.add(r).expect("rep shapes align"),
+            (None, _) => projected,
+        };
+        relu_in_place(&mut a); // global ReLU, no fresh tensor
+        let mut h = module.conv3.conv_forward(&a, layer, &mut stats, pool);
+        layer_rows.push(positions(&h));
+        relu_in_place(&mut h);
+        let mut o = module.conv1.conv_forward(&h, layer, &mut stats, pool);
+        layer_rows.push(positions(&o));
+        relu_in_place(&mut o);
+        rep = Some(o);
+    }
+    let rep_state = rep.expect("at least one module");
+    let rep_feat = global_avg_pool(&rep_state);
+    // Classifier on PE: stage the feature rows and run the whole batch as
+    // one batched call per tile.
+    let rc = rep_feat.shape()[1];
+    let width = classifier.reduction();
+    debug_assert_eq!(feature_width + rc, width);
+    clf_rows.resize(batch * width, 0.0);
+    for b in 0..batch {
+        let dst = &mut clf_rows[b * width..(b + 1) * width];
+        dst[..feature_width]
+            .copy_from_slice(&out.features.as_slice()[b * feature_width..(b + 1) * feature_width]);
+        dst[feature_width..].copy_from_slice(&rep_feat.as_slice()[b * rc..(b + 1) * rc]);
+    }
+    let mut logits = Tensor::zeros(&[batch, classifier.outputs()]);
+    classifier.forward_batch(
+        clf_rows,
+        batch,
+        logits.as_mut_slice(),
+        layer,
+        &mut stats,
+        pool,
+    );
+    layer_rows.push(batch);
+    (logits, stats)
 }
 
 /// The Rep-Net learnable branch compiled onto SRAM sparse PEs.
+///
+/// [`infer`](Self::infer) runs on `&self` with caller-owned scratch and a
+/// [`FrozenBackbone`], so one compiled branch can sit behind an `Arc`
+/// and serve any number of threads; it returns the run ledger and leaves
+/// the tiles' own ledgers alone. [`predict`](Self::predict) is the
+/// self-contained variant for a branch that keeps cumulative tile
+/// ledgers (the learner's resident branch): it runs the model's own
+/// backbone on the attached pool and scratch, folds the same costs into
+/// the tiles' ledgers, and mirrors the run into attached telemetry.
 ///
 /// # Example
 ///
@@ -780,29 +904,26 @@ pub(crate) struct PeModule {
 ///     Backbone::new(BackboneConfig::tiny()),
 ///     RepNetConfig { rep_channels: 4, num_classes: 5, seed: 2 },
 /// );
-/// let mut compiled = PeRepNet::compile(&mut model)?;
+/// let mut compiled = PeRepNet::compile(&model)?;
 /// let x = Tensor::ones(&[1, 1, 8, 8]);
 /// let (logits, stats) = compiled.predict(&mut model, &x);
 /// assert_eq!(logits.shape(), &[1, 5]);
 /// assert!(stats.matvecs > 0);
 /// # Ok::<(), pim_pe::PeError>(())
 /// ```
-///
-/// Cloning a compiled branch duplicates every loaded tile, so replicas
-/// can serve concurrently (each owning its simulated PEs) without
-/// recompiling — this is what `pim-runtime` fans out across workers.
 #[derive(Debug, Clone)]
 pub struct PeRepNet {
     pub(crate) modules: Vec<PeModule>,
     pub(crate) classifier: PeLayer,
     pub(crate) feature_width: usize,
-    /// Live counter mirror: when attached, every `predict`/`refresh`
-    /// ledger delta is also folded into the shared telemetry counters
-    /// (clones share the same counters, so a worker pool aggregates).
+    /// Live counter mirror of `predict`/`refresh` ledgers (clones share
+    /// the same counters).
     telemetry: Option<PeTelemetry>,
-    /// Intra-request compute pool. Defaults to a serial pool; clones share
-    /// the same pool (serving replicas time-share one set of threads).
+    /// Compute pool of `predict` and `pending_write_bits`. Defaults to a
+    /// serial pool; clones share it.
     pool: Arc<WorkPool>,
+    /// Working memory of `predict`.
+    scratch: PeScratch,
 }
 
 impl PeRepNet {
@@ -811,7 +932,7 @@ impl PeRepNet {
     /// # Errors
     ///
     /// Returns [`PeError`] if a layer tile exceeds PE capacity.
-    pub fn compile(model: &mut RepNet) -> Result<Self, PeError> {
+    pub fn compile(model: &RepNet) -> Result<Self, PeError> {
         let mut modules = Vec::new();
         for (i, module) in model.modules().iter().enumerate() {
             let proj_conv = module.connector();
@@ -864,11 +985,12 @@ impl PeRepNet {
             feature_width,
             telemetry: None,
             pool: Arc::new(WorkPool::serial()),
+            scratch: PeScratch::default(),
         })
     }
 
-    /// Attaches a shared [`WorkPool`]: from now on `predict`,
-    /// `conv_forward`'s im2col staging, and
+    /// Attaches a shared [`WorkPool`]: from now on
+    /// [`predict`](PeRepNet::predict) and
     /// [`pending_write_bits`](PeRepNet::pending_write_bits) fan their
     /// tile/row grids out over it. Outputs and ledgers are bit-identical
     /// at every thread count (see the module docs of `pim_par`); a
@@ -888,15 +1010,10 @@ impl PeRepNet {
     /// [`refresh`](PeRepNet::refresh) write-back delta is also recorded
     /// into its registry, making read/write/leakage energy observable
     /// mid-run. Replaces any previous attachment; clones of the branch
-    /// share the same counters.
+    /// share the same counters. [`infer`](PeRepNet::infer) never records:
+    /// its caller owns the ledger it returns.
     pub fn attach_telemetry(&mut self, telemetry: PeTelemetry) {
         self.telemetry = Some(telemetry);
-    }
-
-    /// Detaches the telemetry bundle (recording stops; counters keep
-    /// their values in the registry).
-    pub fn detach_telemetry(&mut self) {
-        self.telemetry = None;
     }
 
     /// Differentially rewrites the resident SRAM tiles with `model`'s
@@ -919,7 +1036,7 @@ impl PeRepNet {
     ///
     /// Panics if `model` is structurally different from the model this
     /// branch was compiled from.
-    pub fn refresh(&mut self, model: &mut RepNet) -> Result<PeStats, PeError> {
+    pub fn refresh(&mut self, model: &RepNet) -> Result<PeStats, PeError> {
         assert_eq!(
             self.modules.len(),
             model.modules().len(),
@@ -1008,62 +1125,64 @@ impl PeRepNet {
         Ok(total)
     }
 
-    /// Runs the compiled branch: backbone taps from the (frozen) NN
-    /// backbone, every learnable MAC on the PEs. Returns logits and PE
-    /// execution statistics.
+    /// Runs a `[N, C, H, W]` batch: backbone taps from `backbone` (the
+    /// frozen backbone of the model this branch was compiled from), every
+    /// learnable MAC on the PEs. Returns logits and the run ledger; the
+    /// tiles' own ledgers and any attached telemetry are left alone, so
+    /// any number of threads may share one branch, each with its own
+    /// `scratch`. Bit-identical to [`predict`](Self::predict) at every
+    /// `pool` width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backbone` does not match the compiled branch's shapes.
+    pub fn infer(
+        &self,
+        backbone: &FrozenBackbone,
+        input: &Tensor,
+        scratch: &mut PeScratch,
+        pool: &WorkPool,
+    ) -> (Tensor, PeRunStats) {
+        let out = backbone.forward(input, &mut scratch.backbone, pool);
+        branch_forward(
+            &self.modules,
+            &self.classifier,
+            self.feature_width,
+            &out,
+            scratch,
+            pool,
+        )
+    }
+
+    /// Runs the compiled branch on `model`'s own backbone over the
+    /// attached pool: the same computation as [`infer`](Self::infer),
+    /// after which the run's matvecs are folded into every tile's
+    /// cumulative ledger and the run ledger into attached telemetry.
+    /// Returns logits and the run ledger.
     ///
     /// # Panics
     ///
     /// Panics if `model` is not the model this branch was compiled from
     /// (shape mismatches).
     pub fn predict(&mut self, model: &mut RepNet, input: &Tensor) -> (Tensor, PeRunStats) {
-        let mut stats = PeRunStats::default();
         let pool = Arc::clone(&self.pool);
         // The frozen backbone shares the branch's pool: its conv rows fan
-        // out bit-identically to serial. Attaching is a handful of Arc
-        // stores — cheap enough to do per call, and it keeps the model
-        // consistent with whatever pool this branch currently holds.
+        // out bit-identically to serial.
         model.attach_pool(&pool);
         let out = model.backbone_outputs(input);
-        let batch = input.shape()[0];
-        let mut rep: Option<Tensor> = None;
-        for (module, tap) in self.modules.iter_mut().zip(&out.taps) {
-            // Activation connector on PE.
-            let projected = module.proj.conv_forward(tap, &mut stats, &pool);
-            // Mix with the (pooled) carried state; digital periphery.
-            let mix = match (&rep, module.pools_prev) {
-                (Some(r), true) => projected.add(&avg_pool2(r)).expect("rep shapes align"),
-                (Some(r), false) => projected.add(r).expect("rep shapes align"),
-                (None, _) => projected,
-            };
-            let mut a = mix;
-            relu_in_place(&mut a); // global ReLU, no fresh tensor
-            let mut h = module.conv3.conv_forward(&a, &mut stats, &pool);
-            relu_in_place(&mut h);
-            let mut o = module.conv1.conv_forward(&h, &mut stats, &pool);
-            relu_in_place(&mut o);
-            rep = Some(o);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let (logits, stats) = branch_forward(
+            &self.modules,
+            &self.classifier,
+            self.feature_width,
+            &out,
+            &mut scratch,
+            &pool,
+        );
+        for (layer, &rows) in self.layers_mut().zip(&scratch.layer_rows) {
+            layer.record_tile_ledgers(rows);
         }
-        let rep_state = rep.expect("at least one module");
-        let rep_feat = global_avg_pool(&rep_state);
-        // Classifier on PE: stage the feature rows in the classifier's
-        // scratch and run the whole batch as one batched call per tile.
-        let rc = rep_feat.shape()[1];
-        let width = self.classifier.reduction;
-        debug_assert_eq!(self.feature_width + rc, width);
-        let mut rows = std::mem::take(&mut self.classifier.scratch.patches);
-        rows.resize(batch * width, 0.0);
-        for b in 0..batch {
-            let dst = &mut rows[b * width..(b + 1) * width];
-            dst[..self.feature_width].copy_from_slice(
-                &out.features.as_slice()[b * self.feature_width..(b + 1) * self.feature_width],
-            );
-            dst[self.feature_width..].copy_from_slice(&rep_feat.as_slice()[b * rc..(b + 1) * rc]);
-        }
-        let mut logits = Tensor::zeros(&[batch, self.classifier.outputs]);
-        self.classifier
-            .forward_batch(&rows, batch, logits.as_mut_slice(), &mut stats, &pool);
-        self.classifier.scratch.patches = rows;
+        self.scratch = scratch;
         if let Some(t) = &self.telemetry {
             t.record(&stats);
         }
@@ -1082,42 +1201,51 @@ impl PeRepNet {
     /// `features` must be `[N, C, H, W]` with `C` equal to the module's
     /// rep width. Bench/diagnostic hook: this is the kernel
     /// `BENCH_kernels.json` tracks as `direct_conv_*`; the full pipeline
-    /// is [`predict`](Self::predict).
+    /// is [`predict`](Self::predict). Tile ledgers are left alone.
     pub fn conv3_stage_forward(&mut self, features: &Tensor) -> (Tensor, PeRunStats) {
         let mut stats = PeRunStats::default();
-        let pool = Arc::clone(&self.pool);
-        let module = self
-            .modules
-            .first_mut()
-            .expect("compiled branch is non-empty");
-        let out = module.conv3.conv_forward(features, &mut stats, &pool);
+        let module = self.modules.first().expect("compiled branch is non-empty");
+        let out =
+            module
+                .conv3
+                .conv_forward(features, &mut self.scratch.layer, &mut stats, &self.pool);
         (out, stats)
+    }
+
+    /// Every compiled layer in execution order: module-major proj, conv3,
+    /// conv1, then the classifier.
+    fn layers(&self) -> impl Iterator<Item = &PeLayer> {
+        self.modules
+            .iter()
+            .flat_map(|m| [&m.proj, &m.conv3, &m.conv1])
+            .chain(std::iter::once(&self.classifier))
+    }
+
+    fn layers_mut(&mut self) -> impl Iterator<Item = &mut PeLayer> {
+        self.modules
+            .iter_mut()
+            .flat_map(|m| [&mut m.proj, &mut m.conv3, &mut m.conv1])
+            .chain(std::iter::once(&mut self.classifier))
     }
 
     /// Number of PE tiles loaded across the branch.
     pub fn tile_count(&self) -> usize {
-        self.modules
-            .iter()
-            .map(|m| m.proj.tiles.len() + m.conv3.tiles.len() + m.conv1.tiles.len())
-            .sum::<usize>()
-            + self.classifier.tiles.len()
+        self.layers().map(|l| l.tiles.len()).sum()
+    }
+
+    /// Number of classifier outputs.
+    pub fn num_classes(&self) -> usize {
+        self.classifier.outputs
     }
 
     /// Per-layer cumulative statistics, straight from each tile's own
     /// [`PeStats`] ledger (so cycle/energy counters are never recomputed
-    /// outside the PEs). Includes the compile-time tile loads.
+    /// outside the PEs). Includes the compile-time tile loads and every
+    /// [`predict`](Self::predict) run.
     pub fn layer_stats(&self) -> Vec<(String, PeStats)> {
-        let mut out = Vec::with_capacity(3 * self.modules.len() + 1);
-        for m in &self.modules {
-            for layer in [&m.proj, &m.conv3, &m.conv1] {
-                out.push((layer.name.clone(), layer.cumulative_stats()));
-            }
-        }
-        out.push((
-            self.classifier.name.clone(),
-            self.classifier.cumulative_stats(),
-        ));
-        out
+        self.layers()
+            .map(|l| (l.name.clone(), l.cumulative_stats()))
+            .collect()
     }
 
     /// Cumulative statistics over the whole branch (loads + matvecs).
@@ -1236,7 +1364,7 @@ pub(crate) mod tests {
     #[test]
     fn pe_executed_branch_agrees_with_the_quantized_nn() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
 
         // Reference: the NN model under fake-quant evaluation.
         let mut quantized = model.clone();
@@ -1265,7 +1393,7 @@ pub(crate) mod tests {
     #[test]
     fn pe_executed_branch_retains_task_accuracy() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let indices: Vec<usize> = (0..task.test.len()).collect();
         let (x, labels) = task.test.batch(&indices);
         let (preds, _) = compiled.classify(&mut model, &x);
@@ -1277,8 +1405,8 @@ pub(crate) mod tests {
 
     #[test]
     fn dense_model_also_compiles_under_4_of_4() {
-        let (mut model, _) = trained_model(None);
-        let compiled = PeRepNet::compile(&mut model).expect("dense encoding fits");
+        let (model, _) = trained_model(None);
+        let compiled = PeRepNet::compile(&model).expect("dense encoding fits");
         assert!(compiled.tile_count() > 0);
         assert!(compiled.to_string().contains("SRAM PE tiles"));
     }
@@ -1286,7 +1414,7 @@ pub(crate) mod tests {
     #[test]
     fn run_stats_carry_energy_and_latency() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let (x, _) = task.test.batch(&[0]);
         let (_, stats) = compiled.predict(&mut model, &x);
         assert!(stats.total_energy().as_pj() > 0.0);
@@ -1304,7 +1432,7 @@ pub(crate) mod tests {
     #[test]
     fn refresh_matches_cold_recompile_bit_exactly() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         // Move the learnable weights, as online steps would.
         fit(
             &mut model,
@@ -1318,12 +1446,12 @@ pub(crate) mod tests {
                 seed: 9,
             },
         );
-        let delta = compiled.refresh(&mut model).expect("geometry unchanged");
+        let delta = compiled.refresh(&model).expect("geometry unchanged");
         assert_eq!(delta.loads as usize, compiled.tile_count());
         assert!(delta.write_bits > 0, "training must have moved some codes");
 
         let mut cold_model = model.clone();
-        let mut cold = PeRepNet::compile(&mut cold_model).expect("fits PEs");
+        let mut cold = PeRepNet::compile(&cold_model).expect("fits PEs");
         let (x, _) = task.test.batch(&[0, 1, 2, 3]);
         let (a, _) = compiled.predict(&mut model, &x);
         let (b, _) = cold.predict(&mut cold_model, &x);
@@ -1337,9 +1465,9 @@ pub(crate) mod tests {
 
     #[test]
     fn unchanged_refresh_writes_nothing() {
-        let (mut model, _) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
-        let delta = compiled.refresh(&mut model).expect("geometry unchanged");
+        let (model, _) = trained_model(Some(NmPattern::one_of_four()));
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
+        let delta = compiled.refresh(&model).expect("geometry unchanged");
         assert_eq!(delta.write_bits, 0);
         assert!(delta.energy.write.is_zero());
     }
@@ -1347,7 +1475,7 @@ pub(crate) mod tests {
     #[test]
     fn cloned_branch_replays_bit_exactly() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let mut replica = compiled.clone();
         let mut model2 = model.clone();
         let (x, _) = task.test.batch(&[0, 1, 2]);
@@ -1359,7 +1487,7 @@ pub(crate) mod tests {
     #[test]
     fn parallel_pool_is_bit_exact_with_serial() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut serial = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut serial = PeRepNet::compile(&model).expect("fits PEs");
         let mut model_par = model.clone();
         let mut parallel = serial.clone();
         parallel.attach_pool(Arc::new(WorkPool::with_forced_threads(4)));
@@ -1380,9 +1508,33 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn shared_infer_matches_predict_and_leaves_tile_ledgers_alone() {
+        let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
+        let backbone = model.backbone().freeze();
+        let mut resident = PeRepNet::compile(&model).expect("fits PEs");
+        let shared = resident.clone();
+        let compiled_ledger = shared.cumulative_stats();
+        let (x, _) = task.test.batch(&[0, 1, 2, 3, 4]);
+        let (want, want_stats) = resident.predict(&mut model, &x);
+        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let mut scratch = PeScratch::default();
+        for threads in [1, 4] {
+            let pool = WorkPool::with_forced_threads(threads);
+            let (logits, stats) = shared.infer(&backbone, &x, &mut scratch, &pool);
+            assert_eq!(bits(&logits), bits(&want), "{threads} threads");
+            assert_eq!(stats, want_stats, "run ledger, {threads} threads");
+        }
+        assert_eq!(shared.cumulative_stats(), compiled_ledger);
+        // `predict` folded exactly its run's matvecs into the tiles.
+        let folded = resident.cumulative_stats();
+        assert_eq!(folded.matvecs, compiled_ledger.matvecs + want_stats.matvecs);
+        assert_eq!(folded.macs, compiled_ledger.macs + want_stats.macs);
+    }
+
+    #[test]
     fn pending_write_bits_predicts_the_refresh_delta() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         compiled.attach_pool(Arc::new(WorkPool::with_forced_threads(2)));
         assert_eq!(
             compiled.pending_write_bits(&model).expect("same geometry"),
@@ -1402,7 +1554,7 @@ pub(crate) mod tests {
             },
         );
         let pending = compiled.pending_write_bits(&model).expect("same geometry");
-        let delta = compiled.refresh(&mut model).expect("geometry unchanged");
+        let delta = compiled.refresh(&model).expect("geometry unchanged");
         assert_eq!(pending, delta.write_bits, "preflight is exact");
         assert!(pending > 0, "training must have moved some codes");
     }
@@ -1410,7 +1562,7 @@ pub(crate) mod tests {
     #[test]
     fn run_stats_scale_with_batch() {
         let (mut model, task) = trained_model(Some(NmPattern::one_of_eight()));
-        let mut compiled = PeRepNet::compile(&mut model).expect("fits PEs");
+        let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let (x1, _) = task.test.batch(&[0]);
         let (x4, _) = task.test.batch(&[0, 1, 2, 3]);
         let (_, s1) = compiled.predict(&mut model, &x1);
@@ -1456,13 +1608,14 @@ pub(crate) mod tests {
         // serial pool and a forced 4-wide pool.
         for (stride, padding, threads) in [(1, 1, 1), (2, 1, 4), (1, 0, 4)] {
             let pool = WorkPool::with_forced_threads(threads);
-            let mut direct = conv_layer(3, 8, 3, stride, padding, NmPattern::one_of_four(), 7);
-            let mut oracle = direct.clone();
+            let direct = conv_layer(3, 8, 3, stride, padding, NmPattern::one_of_four(), 7);
+            let oracle = direct.clone();
             let x = probe_input(2, 3, 8, 8, 11);
             let mut stats_d = PeRunStats::new();
             let mut stats_o = PeRunStats::new();
-            let out_d = direct.conv_forward(&x, &mut stats_d, &pool);
-            let out_o = oracle.conv_forward_im2col(&x, &mut stats_o, &pool);
+            let out_d = direct.conv_forward(&x, &mut LayerScratch::default(), &mut stats_d, &pool);
+            let out_o =
+                oracle.conv_forward_im2col(&x, &mut LayerScratch::default(), &mut stats_o, &pool);
             assert_eq!(out_d.shape(), out_o.shape());
             assert_eq!(tensor_bits(&out_d), tensor_bits(&out_o));
             assert_eq!(stats_d, stats_o, "run ledgers replay identically");
@@ -1478,13 +1631,13 @@ pub(crate) mod tests {
     fn pool_width_does_not_change_conv_results() {
         let serial = WorkPool::serial();
         let wide = WorkPool::with_forced_threads(3);
-        let mut a = conv_layer(2, 6, 3, 1, 1, NmPattern::two_of_four(), 3);
-        let mut b = a.clone();
+        let a = conv_layer(2, 6, 3, 1, 1, NmPattern::two_of_four(), 3);
+        let b = a.clone();
         let x = probe_input(3, 2, 6, 6, 5);
         let mut stats_a = PeRunStats::new();
         let mut stats_b = PeRunStats::new();
-        let out_a = a.conv_forward(&x, &mut stats_a, &serial);
-        let out_b = b.conv_forward(&x, &mut stats_b, &wide);
+        let out_a = a.conv_forward(&x, &mut LayerScratch::default(), &mut stats_a, &serial);
+        let out_b = b.conv_forward(&x, &mut LayerScratch::default(), &mut stats_b, &wide);
         assert_eq!(tensor_bits(&out_a), tensor_bits(&out_b));
         assert_eq!(stats_a, stats_b, "chunking never leaks into ledgers");
     }
@@ -1514,13 +1667,13 @@ pub(crate) mod tests {
             seed in 0usize..64,
         ) {
             let pool = WorkPool::with_forced_threads(threads);
-            let mut direct = conv_layer(cin, cout, k, stride, padding, pattern, seed);
-            let mut oracle = direct.clone();
+            let direct = conv_layer(cin, cout, k, stride, padding, pattern, seed);
+            let oracle = direct.clone();
             let x = probe_input(n, cin, hw, hw, seed + 1);
             let mut stats_d = PeRunStats::new();
             let mut stats_o = PeRunStats::new();
-            let out_d = direct.conv_forward(&x, &mut stats_d, &pool);
-            let out_o = oracle.conv_forward_im2col(&x, &mut stats_o, &pool);
+            let out_d = direct.conv_forward(&x, &mut LayerScratch::default(), &mut stats_d, &pool);
+            let out_o = oracle.conv_forward_im2col(&x, &mut LayerScratch::default(), &mut stats_o, &pool);
             prop_assert_eq!(tensor_bits(&out_d), tensor_bits(&out_o));
             prop_assert_eq!(stats_d, stats_o);
             prop_assert_eq!(direct.cumulative_stats(), oracle.cumulative_stats());

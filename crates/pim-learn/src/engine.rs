@@ -75,8 +75,8 @@ impl LearnEngine {
         learner_config: OnlineLearnerConfig,
         policy: WritePolicy,
     ) -> Result<Self, LearnError> {
-        let mut learner = OnlineLearner::new(model, learner_config);
-        let branch = PeRepNet::compile(learner.model_mut())?;
+        let learner = OnlineLearner::new(model, learner_config);
+        let branch = PeRepNet::compile(learner.model())?;
         let full_load_bits = branch.cumulative_stats().write_bits;
         Ok(Self {
             name: name.into(),
@@ -97,9 +97,9 @@ impl LearnEngine {
     /// `source="learn"` [`PeStats`](pim_pe::PeStats) energy mirror on the
     /// resident branch — and records `learn.*` spans into the bundle's
     /// tracer. Pass the same bundle to the serving runtime's builder and
-    /// both sides render from one registry. Published artifacts
-    /// ([`compiled`](Self::compiled)) detach the learn-side counters, so
-    /// serving traffic never lands in them.
+    /// both sides render from one registry. Serving a published artifact
+    /// ([`compiled`](Self::compiled)) never lands in the learn-side
+    /// counters: the runtime records its batches into its own.
     pub fn attach_telemetry(&mut self, bundle: &Arc<Telemetry>) {
         let tel = LearnTelemetry::register(Arc::clone(bundle));
         self.branch.attach_telemetry(tel.pe.clone());
@@ -181,7 +181,7 @@ impl LearnEngine {
         }
         authorized?;
         let write_started = Instant::now();
-        let delta = self.branch.refresh(self.learner.model_mut())?;
+        let delta = self.branch.refresh(self.learner.model())?;
         debug_assert_eq!(
             delta.write_bits, pending,
             "preflight diff must match the rewrite bill exactly"
@@ -250,13 +250,15 @@ impl LearnEngine {
     }
 
     /// Snapshots the resident branch as a servable artifact (bit-for-bit
-    /// tile clones, no recompile), named `{name}@v{version}`. Use this to
+    /// tile clones, no recompile), named `{name}@v{version}`. Only the
+    /// adaptor tiles are copied: every snapshot shares the learner's
+    /// [`frozen_backbone`](OnlineLearner::frozen_backbone). Use this to
     /// register the engine's model with a runtime before the first
     /// publish.
     pub fn compiled(&self) -> CompiledModel {
         CompiledModel::from_branch(
             format!("{}@v{}", self.name, self.version),
-            self.learner.model(),
+            Arc::clone(self.learner.frozen_backbone()),
             &self.branch,
         )
     }
@@ -283,10 +285,10 @@ impl LearnEngine {
         let full = self.compiled();
         let mut degraded_model = self.learner.model().clone();
         degraded_model.apply_pattern(degraded_pattern);
-        let degraded_branch = PeRepNet::compile(&mut degraded_model)?;
+        let degraded_branch = PeRepNet::compile(&degraded_model)?;
         let degraded = CompiledModel::from_branch(
             format!("{}@v{}-degraded", self.name, self.version),
-            &degraded_model,
+            Arc::clone(self.learner.frozen_backbone()),
             &degraded_branch,
         );
         Ok((full, degraded))
@@ -470,7 +472,7 @@ mod tests {
             engine.write_back().expect("write back");
             let (resident, _) = engine.predict(&x);
             let mut model = engine.learner().model().clone();
-            let mut cold = PeRepNet::compile(&mut model).expect("fits PEs");
+            let mut cold = PeRepNet::compile(&model).expect("fits PEs");
             let (reference, _) = cold.predict(&mut model, &x);
             assert_eq!(
                 resident.as_slice(),
@@ -545,6 +547,72 @@ mod tests {
         engine.write_back().expect("write back");
         assert_eq!(engine.compiled().name(), "tiny@v1");
         assert_eq!(engine.compiled().tile_count(), engine.tile_count());
+    }
+
+    #[test]
+    fn snapshots_share_one_frozen_backbone() {
+        let mut engine = tiny_engine(WritePolicy::hybrid_dac24(1 << 20));
+        let first = engine.compiled();
+        assert!(Arc::ptr_eq(first.backbone(), engine.compiled().backbone()));
+        feed(&mut engine, 8);
+        engine.step().expect("step");
+        engine.write_back().expect("write back");
+        let published = engine.compiled();
+        assert_eq!(published.name(), "tiny@v1");
+        assert!(
+            Arc::ptr_eq(first.backbone(), published.backbone()),
+            "a publish copies only the adaptor"
+        );
+    }
+
+    #[test]
+    fn checkpoint_with_a_new_backbone_is_served_after_the_next_publish() {
+        use pim_nn::checkpoint;
+        use pim_runtime::Runtime;
+
+        let mut engine = tiny_engine(WritePolicy::hybrid_dac24(1 << 20));
+        let mut builder = Runtime::builder().workers(1);
+        let id = builder.register(engine.compiled());
+        let runtime = builder.start();
+        let before = engine.compiled();
+
+        // Same shapes, different backbone and adaptor weights.
+        let mut donor = RepNet::new(
+            Backbone::new(BackboneConfig {
+                seed: 41,
+                ..BackboneConfig::tiny()
+            }),
+            RepNetConfig {
+                rep_channels: 4,
+                num_classes: 3,
+                seed: 17,
+            },
+        );
+        let mut saved = Vec::new();
+        checkpoint::save(&mut donor, &mut saved).expect("save donor");
+        engine
+            .learner_mut()
+            .load_checkpoint(saved.as_slice())
+            .expect("load donor");
+        engine.publish(&runtime, id).expect("publish");
+        assert!(!Arc::ptr_eq(
+            before.backbone(),
+            runtime.models()[0].backbone()
+        ));
+
+        let x = Tensor::from_vec(
+            vec![1, 1, 8, 8],
+            (0..64).map(|v| ((v * 5) % 9) as f32 / 9.0).collect(),
+        )
+        .expect("sample shape");
+        let mut cold = PeRepNet::compile(&donor).expect("fits PEs");
+        let (want, _) = cold.predict(&mut donor, &x);
+        let served = runtime.infer(id, &x).expect("serve");
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&served.logits), bits(want.as_slice()));
+        let (old, _) = before.infer_reference(&x);
+        assert_ne!(bits(old.as_slice()), bits(want.as_slice()));
+        runtime.shutdown();
     }
 
     #[test]

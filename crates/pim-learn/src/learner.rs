@@ -14,13 +14,14 @@
 
 use crate::error::LearnError;
 use pim_nn::checkpoint::{self, CheckpointError};
-use pim_nn::models::RepNet;
+use pim_nn::models::{FrozenBackbone, RepNet};
 use pim_nn::tensor::Tensor;
 use pim_nn::train::{train_step_from_taps, Dataset, Sgd, StepStats};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 /// Hyperparameters of the online trainer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,6 +60,10 @@ impl Default for OnlineLearnerConfig {
 /// backbone weights sit in write-protected MRAM.
 pub struct OnlineLearner {
     model: RepNet,
+    /// `model`'s backbone frozen for serving, rebuilt only when a
+    /// checkpoint restore rewrites the backbone: every artifact published
+    /// in between shares it.
+    frozen: Arc<FrozenBackbone>,
     sgd: Sgd,
     rng: StdRng,
     /// Replayed samples, oldest first.
@@ -104,6 +109,7 @@ impl OnlineLearner {
         );
         assert!(config.batch_size > 0, "batch size must be nonzero");
         Self {
+            frozen: Arc::new(model.backbone().freeze()),
             model,
             sgd: Sgd::new(config.lr, config.momentum, config.weight_decay),
             rng: StdRng::seed_from_u64(config.seed),
@@ -206,7 +212,14 @@ impl OnlineLearner {
         &self.model
     }
 
-    /// Mutable model access (the engine's compile/refresh path needs it).
+    /// The model's frozen backbone, shared by every artifact published
+    /// from it; a [`load_checkpoint`](Self::load_checkpoint) replaces it.
+    pub fn frozen_backbone(&self) -> &Arc<FrozenBackbone> {
+        &self.frozen
+    }
+
+    /// Mutable model access (the engine's predict and parameter-count
+    /// paths need it).
     ///
     /// Callers must not modify the frozen backbone: replay taps are
     /// memoised against it, and only
@@ -243,8 +256,9 @@ impl OnlineLearner {
 
     /// Restores model parameters and BatchNorm state saved by
     /// [`save_checkpoint`](Self::save_checkpoint). The restore rewrites
-    /// the backbone, so every memoised replay tap is dropped (even when
-    /// loading fails part way) and recomputed on next use.
+    /// the backbone, so every memoised replay tap is dropped and the
+    /// [`frozen_backbone`](Self::frozen_backbone) rebuilt (even when
+    /// loading fails part way); taps are recomputed on next use.
     ///
     /// # Errors
     ///
@@ -253,7 +267,9 @@ impl OnlineLearner {
         for entry in &mut self.replay {
             entry.taps = None;
         }
-        checkpoint::load(&mut self.model, reader)
+        let loaded = checkpoint::load(&mut self.model, reader);
+        self.frozen = Arc::new(self.model.backbone().freeze());
+        loaded
     }
 }
 

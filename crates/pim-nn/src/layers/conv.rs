@@ -40,17 +40,55 @@ pub struct Conv2d {
     /// Attached (not constructed) so every conv in a model shares one
     /// pool — see `Backbone::attach_pool`.
     pool: Option<Arc<WorkPool>>,
-    /// Eval-mode scratch (im2col arena, row-major output arena,
-    /// reduction-major weight copy) reused across forwards so steady-state
-    /// inference allocates nothing.
+    /// Eval-mode arenas reused across forwards so steady-state inference
+    /// allocates nothing.
     scratch: ConvScratch,
+    /// Reduction-major weight copy, rebuilt per forward because training
+    /// steps the weights.
+    wt: Vec<f32>,
 }
 
+/// The im2col arena and row-major output arena of an eval convolution,
+/// owned by the caller and reused across forwards (and across every
+/// convolution of one network: they only grow).
 #[derive(Debug, Clone, Default)]
-struct ConvScratch {
+pub(crate) struct ConvScratch {
     cols: Vec<f32>,
     flat: Vec<f32>,
+}
+
+/// A convolution's geometry: everything its forward needs besides the
+/// weights.
+#[derive(Debug, Clone, Copy)]
+struct ConvShape {
+    in_channels: usize,
+    out_channels: usize,
+    kernel: usize,
+    stride: usize,
+    padding: usize,
+}
+
+/// A convolution frozen for inference: its reduction-major weight copy
+/// is built once, so the forward runs on `&self`.
+#[derive(Debug, Clone)]
+pub(crate) struct FrozenConv {
+    shape: ConvShape,
     wt: Vec<f32>,
+    bias: Vec<f32>,
+}
+
+impl FrozenConv {
+    /// The eval forward — the same kernel [`Conv2d`]'s `Layer::forward`
+    /// runs, so the output is bit-identical.
+    pub(crate) fn forward(
+        &self,
+        input: &Tensor,
+        scratch: &mut ConvScratch,
+        pool: &WorkPool,
+    ) -> Tensor {
+        self.shape
+            .forward(&self.wt, &self.bias, input, scratch, pool)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -95,6 +133,33 @@ impl Conv2d {
             cached: None,
             pool: None,
             scratch: ConvScratch::default(),
+            wt: Vec::new(),
+        }
+    }
+
+    fn shape(&self) -> ConvShape {
+        ConvShape {
+            in_channels: self.in_channels,
+            out_channels: self.out_channels,
+            kernel: self.kernel,
+            stride: self.stride,
+            padding: self.padding,
+        }
+    }
+
+    /// Freezes the current weights for `&self` inference.
+    pub(crate) fn freeze(&self) -> FrozenConv {
+        let mut wt = Vec::new();
+        reduction_major(
+            self.weight.value.as_slice(),
+            self.out_channels,
+            self.reduction_len(),
+            &mut wt,
+        );
+        FrozenConv {
+            shape: self.shape(),
+            wt,
+            bias: self.bias.value.as_slice().to_vec(),
         }
     }
 
@@ -139,7 +204,7 @@ impl Conv2d {
 
     /// Reduction length of the matrix view, `cin · k · k`.
     pub fn reduction_len(&self) -> usize {
-        self.in_channels * self.kernel * self.kernel
+        self.shape().reduction_len()
     }
 
     /// Read access to the weight parameter.
@@ -154,9 +219,7 @@ impl Conv2d {
 
     /// Output spatial size for an `(h, w)` input.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        let oh = (h + 2 * self.padding - self.kernel) / self.stride + 1;
-        let ow = (w + 2 * self.padding - self.kernel) / self.stride + 1;
-        (oh, ow)
+        self.shape().output_hw(h, w)
     }
 
     /// Exports the weight as a reduction-first `[cin·k·k, cout]` matrix.
@@ -182,6 +245,98 @@ impl Conv2d {
                 w[c * red + r] = m[(r, c)];
             }
         }
+    }
+}
+
+impl ConvShape {
+    fn reduction_len(&self) -> usize {
+        self.in_channels * self.kernel * self.kernel
+    }
+
+    fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
+        let oh = (h + 2 * self.padding - self.kernel) / self.stride + 1;
+        let ow = (w + 2 * self.padding - self.kernel) / self.stride + 1;
+        (oh, ow)
+    }
+
+    /// The eval forward over an NCHW batch: `wt` is the weight in
+    /// reduction-major layout `[cin·k·k, cout]`. Every output element
+    /// keeps its serial f32 accumulation chain however `pool` splits the
+    /// rows, so the result is bit-identical at every pool width. After
+    /// the call `scratch.cols` holds the batch's im2col matrix (the
+    /// training forward keeps it for backward).
+    fn forward(
+        &self,
+        wt: &[f32],
+        b: &[f32],
+        input: &Tensor,
+        scratch: &mut ConvScratch,
+        pool: &WorkPool,
+    ) -> Tensor {
+        assert_eq!(input.rank(), 4, "conv expects NCHW input");
+        let s = input.shape();
+        let (n, cin, h, w_in) = (s[0], s[1], s[2], s[3]);
+        assert_eq!(cin, self.in_channels, "input channel mismatch");
+        let (oh, ow) = self.output_hw(h, w_in);
+        let red = self.reduction_len();
+        let cout = self.out_channels;
+        let rows = n * oh * ow;
+        let chunk = row_chunk(rows, pool.threads());
+        let x = input.as_slice();
+
+        // im2col, fanned out over row ranges (disjoint `cols` regions),
+        // re-zeroed for the padding positions `fill_cols` skips.
+        let cols = &mut scratch.cols;
+        cols.clear();
+        cols.resize(rows * red, 0.0);
+        let cols_view = SharedSliceMut::new(cols);
+        pool.for_each_chunk(rows, chunk, |range| {
+            // SAFETY: chunk row ranges are disjoint, so their `cols`
+            // regions are too.
+            let dst = unsafe { cols_view.slice(range.start * red..range.end * red) };
+            self.fill_cols(x, cin, h, w_in, oh, ow, range, dst);
+        });
+
+        // out[row, co] = Σ_r cols[row, r] · wt[r, co] + b[co], fanned out
+        // over the same row ranges (disjoint `flat` regions). Each task
+        // keeps the serial per-row accumulation order, so the split is
+        // f32-bit-exact.
+        let cols = &scratch.cols;
+        let flat = &mut scratch.flat;
+        flat.clear();
+        flat.resize(rows * cout, 0.0);
+        let flat_view = SharedSliceMut::new(flat);
+        pool.for_each_chunk(rows, chunk, |range| {
+            // SAFETY: chunk row ranges are disjoint, so their `flat`
+            // regions are too.
+            let dst = unsafe { flat_view.slice(range.start * cout..range.end * cout) };
+            self.matmul_rows_t(
+                wt,
+                b,
+                &cols[range.start * red..range.end * red],
+                range.len(),
+                dst,
+            );
+        });
+
+        // Reorder [n, oh, ow, cout] → NCHW, one image per task (disjoint
+        // per-image output blocks).
+        let flat = &scratch.flat;
+        let mut y = Tensor::zeros(&[n, cout, oh, ow]);
+        let y_view = SharedSliceMut::new(y.as_mut_slice());
+        pool.run(n, |ni| {
+            // SAFETY: image ni owns this output block alone.
+            let img = unsafe { y_view.slice(ni * cout * oh * ow..(ni + 1) * cout * oh * ow) };
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = (ni * oh + oy) * ow + ox;
+                    for co in 0..cout {
+                        img[(co * oh + oy) * ow + ox] = flat[row * cout + co];
+                    }
+                }
+            }
+        });
+        y
     }
 
     /// Fills the im2col rows in `rows` (flat index `(ni·oh + oy)·ow + ox`)
@@ -268,6 +423,19 @@ impl Conv2d {
     }
 }
 
+/// Reduction-major copy `[red, cout]` of a `[cout, red]` weight: adjacent
+/// output channels land in adjacent lanes for `matmul_rows_t`. Pure data
+/// movement.
+fn reduction_major(w: &[f32], cout: usize, red: usize, wt: &mut Vec<f32>) {
+    wt.clear();
+    wt.resize(red * cout, 0.0);
+    for co in 0..cout {
+        for (r, &wv) in w[co * red..(co + 1) * red].iter().enumerate() {
+            wt[r * cout + co] = wv;
+        }
+    }
+}
+
 /// `L` adjacent output channels of one im2col row as `L` independent
 /// register accumulator chains (bias-seeded, summed in `r` order).
 #[inline(always)]
@@ -301,92 +469,32 @@ fn row_chunk(total: usize, threads: usize) -> usize {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.rank(), 4, "conv expects NCHW input");
-        let s = input.shape();
-        let (n, cin, h, w_in) = (s[0], s[1], s[2], s[3]);
-        assert_eq!(cin, self.in_channels, "input channel mismatch");
-        let (oh, ow) = self.output_hw(h, w_in);
-        let red = self.reduction_len();
-        let cout = self.out_channels;
-        let rows = n * oh * ow;
+        reduction_major(
+            self.weight.value.as_slice(),
+            self.out_channels,
+            self.reduction_len(),
+            &mut self.wt,
+        );
         let pool: &WorkPool = match &self.pool {
             Some(p) => p,
             // Shared 'static serial fallback: constructing a pool per
             // forward is allocator traffic the hot path doesn't need.
             None => WorkPool::serial_ref(),
         };
-        let chunk = row_chunk(rows, pool.threads());
-        let x = input.as_slice();
-
-        // im2col, fanned out over row ranges (disjoint `cols` regions).
-        // The arena is scratch reused across eval forwards (re-zeroed for
-        // the padding positions `fill_cols` skips).
-        let mut cols = std::mem::take(&mut self.scratch.cols);
-        cols.clear();
-        cols.resize(rows * red, 0.0);
-        let cols_view = SharedSliceMut::new(&mut cols);
-        pool.for_each_chunk(rows, chunk, |range| {
-            let dst = unsafe { cols_view.slice(range.start * red..range.end * red) };
-            self.fill_cols(x, cin, h, w_in, oh, ow, range, dst);
-        });
-
-        // out[row, co] = Σ_r cols[row, r] · wt[r, co] + b[co], fanned out
-        // over the same row ranges (disjoint `flat` regions). Each task
-        // keeps the serial per-row accumulation order, so the split is
-        // f32-bit-exact. The reduction-major weight copy puts adjacent
-        // channels in adjacent lanes for `matmul_rows_t`; it is pure data
-        // movement, rebuilt per call because training steps the weights.
-        let w = self.weight.value.as_slice(); // [cout, red]
-        let b = self.bias.value.as_slice();
-        let mut wt = std::mem::take(&mut self.scratch.wt);
-        wt.clear();
-        wt.resize(red * cout, 0.0);
-        for co in 0..cout {
-            for (r, &wv) in w[co * red..(co + 1) * red].iter().enumerate() {
-                wt[r * cout + co] = wv;
-            }
-        }
-        let mut flat = std::mem::take(&mut self.scratch.flat);
-        flat.clear();
-        flat.resize(rows * cout, 0.0);
-        let flat_view = SharedSliceMut::new(&mut flat);
-        pool.for_each_chunk(rows, chunk, |range| {
-            let dst = unsafe { flat_view.slice(range.start * cout..range.end * cout) };
-            self.matmul_rows_t(
-                &wt,
-                b,
-                &cols[range.start * red..range.end * red],
-                range.len(),
-                dst,
-            );
-        });
-
-        // Reorder [n, oh, ow, cout] → NCHW, one image per task (disjoint
-        // per-image output blocks).
-        let mut y = Tensor::zeros(&[n, cout, oh, ow]);
-        let ys = y.as_mut_slice();
-        let y_view = SharedSliceMut::new(ys);
-        pool.run(n, |ni| {
-            let img = unsafe { y_view.slice(ni * cout * oh * ow..(ni + 1) * cout * oh * ow) };
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = (ni * oh + oy) * ow + ox;
-                    for co in 0..cout {
-                        img[(co * oh + oy) * ow + ox] = flat[row * cout + co];
-                    }
-                }
-            }
-        });
-        self.scratch.wt = wt;
-        self.scratch.flat = flat;
+        let y = self.shape().forward(
+            &self.wt,
+            self.bias.value.as_slice(),
+            input,
+            &mut self.scratch,
+            pool,
+        );
         if train {
+            let s = input.shape();
             self.cached = Some(CachedForward {
-                cols,
-                input_shape: [n, cin, h, w_in],
-                out_hw: (oh, ow),
+                cols: std::mem::take(&mut self.scratch.cols),
+                input_shape: [s[0], s[1], s[2], s[3]],
+                out_hw: (y.shape()[2], y.shape()[3]),
             });
-        } else {
-            self.scratch.cols = cols;
         }
         y
     }

@@ -21,8 +21,11 @@ mod pool;
 
 pub use activation::Relu;
 pub use conv::Conv2d;
+pub(crate) use conv::{ConvScratch, FrozenConv};
 pub use linear::Linear;
 pub use norm::BatchNorm2d;
+pub(crate) use norm::FrozenBn;
+pub(crate) use pool::global_avg_pool;
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 
 use crate::tensor::Tensor;

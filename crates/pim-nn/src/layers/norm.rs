@@ -76,9 +76,74 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> &[f32] {
         &self.running_var
     }
+
+    /// Freezes the inference constants for `&self` evaluation.
+    pub(crate) fn freeze(&self) -> FrozenBn {
+        FrozenBn {
+            mean: self.running_mean.clone(),
+            std: std_of(&self.running_var, self.eps),
+            gamma: self.gamma.value.as_slice().to_vec(),
+            beta: self.beta.value.as_slice().to_vec(),
+        }
+    }
+}
+
+/// A BatchNorm frozen for inference: running mean, `sqrt(var + ε)`, γ
+/// and β, computed once.
+#[derive(Debug, Clone)]
+pub(crate) struct FrozenBn {
+    mean: Vec<f32>,
+    std: Vec<f32>,
+    gamma: Vec<f32>,
+    beta: Vec<f32>,
+}
+
+impl FrozenBn {
+    /// The inference forward, bit-identical to `Layer::forward(_, false)`.
+    pub(crate) fn forward(&self, input: &Tensor) -> Tensor {
+        normalize(input, &self.mean, &self.std, &self.gamma, &self.beta, None)
+    }
+}
+
+fn std_of(var: &[f32], eps: f32) -> Vec<f32> {
+    var.iter().map(|&v| (v + eps).sqrt()).collect()
+}
+
+/// `y = γ·x̂ + β` with `x̂ = (x − mean) / std` per channel of an NCHW
+/// tensor; `x̂` is also stored into `normalized` when given (the training
+/// forward caches it for backward).
+fn normalize(
+    input: &Tensor,
+    mean: &[f32],
+    std: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    mut normalized: Option<&mut [f32]>,
+) -> Tensor {
+    let s = input.shape();
+    assert_eq!(s.len(), 4, "batchnorm expects NCHW input");
+    let (n, c, hw) = (s[0], s[1], s[2] * s[3]);
+    assert_eq!(c, mean.len(), "channel mismatch");
+    let x = input.as_slice();
+    let mut y = Tensor::zeros(s);
+    let ys = y.as_mut_slice();
+    for ni in 0..n {
+        for ci in 0..c {
+            let base = (ni * c + ci) * hw;
+            for i in base..base + hw {
+                let nv = (x[i] - mean[ci]) / std[ci];
+                if let Some(ns) = normalized.as_deref_mut() {
+                    ns[i] = nv;
+                }
+                ys[i] = gamma[ci] * nv + beta[ci];
+            }
+        }
+    }
+    y
 }
 
 impl Layer for BatchNorm2d {
+    #[allow(clippy::needless_range_loop)] // ci addresses several arrays
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let s = input.shape();
         assert_eq!(s.len(), 4, "batchnorm expects NCHW input");
@@ -86,67 +151,60 @@ impl Layer for BatchNorm2d {
         assert_eq!(c, self.channels, "channel mismatch");
         let count = (n * h * w) as f32;
         let x = input.as_slice();
-        let mut y = Tensor::zeros(s);
 
-        #[allow(clippy::needless_range_loop)] // ci addresses several arrays
-        let (mean, var) = if train {
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for ci in 0..c {
-                let mut acc = 0.0;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * h * w;
-                    acc += x[base..base + h * w].iter().sum::<f32>();
-                }
-                mean[ci] = acc / count;
-            }
-            for ci in 0..c {
-                let mut acc = 0.0;
-                for ni in 0..n {
-                    let base = (ni * c + ci) * h * w;
-                    acc += x[base..base + h * w]
-                        .iter()
-                        .map(|&v| (v - mean[ci]).powi(2))
-                        .sum::<f32>();
-                }
-                var[ci] = acc / count;
-            }
-            for ci in 0..c {
-                self.running_mean[ci] =
-                    (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean[ci];
-                self.running_var[ci] =
-                    (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var[ci];
-            }
-            (mean, var)
-        } else {
-            (self.running_mean.clone(), self.running_var.clone())
-        };
-
-        let std: Vec<f32> = var.iter().map(|&v| (v + self.eps).sqrt()).collect();
-        let gamma = self.gamma.value.as_slice();
-        let beta = self.beta.value.as_slice();
-        let mut normalized = Tensor::zeros(s);
-        {
-            let ns = normalized.as_mut_slice();
-            let ys = y.as_mut_slice();
+        if !train {
+            let std = std_of(&self.running_var, self.eps);
+            return normalize(
+                input,
+                &self.running_mean,
+                &std,
+                self.gamma.value.as_slice(),
+                self.beta.value.as_slice(),
+                None,
+            );
+        }
+        let mut mean = vec![0.0f32; c];
+        let mut var = vec![0.0f32; c];
+        for ci in 0..c {
+            let mut acc = 0.0;
             for ni in 0..n {
-                for ci in 0..c {
-                    let base = (ni * c + ci) * h * w;
-                    for i in base..base + h * w {
-                        let nv = (x[i] - mean[ci]) / std[ci];
-                        ns[i] = nv;
-                        ys[i] = gamma[ci] * nv + beta[ci];
-                    }
-                }
+                let base = (ni * c + ci) * h * w;
+                acc += x[base..base + h * w].iter().sum::<f32>();
             }
+            mean[ci] = acc / count;
         }
-        if train {
-            self.cached = Some(BnCache {
-                normalized,
-                batch_std: std,
-                input_shape: [n, c, h, w],
-            });
+        for ci in 0..c {
+            let mut acc = 0.0;
+            for ni in 0..n {
+                let base = (ni * c + ci) * h * w;
+                acc += x[base..base + h * w]
+                    .iter()
+                    .map(|&v| (v - mean[ci]).powi(2))
+                    .sum::<f32>();
+            }
+            var[ci] = acc / count;
         }
+        for ci in 0..c {
+            self.running_mean[ci] =
+                (1.0 - self.momentum) * self.running_mean[ci] + self.momentum * mean[ci];
+            self.running_var[ci] =
+                (1.0 - self.momentum) * self.running_var[ci] + self.momentum * var[ci];
+        }
+        let std = std_of(&var, self.eps);
+        let mut normalized = Tensor::zeros(s);
+        let y = normalize(
+            input,
+            &mean,
+            &std,
+            self.gamma.value.as_slice(),
+            self.beta.value.as_slice(),
+            Some(normalized.as_mut_slice()),
+        );
+        self.cached = Some(BnCache {
+            normalized,
+            batch_std: std,
+            input_shape: [n, c, h, w],
+        });
         y
     }
 

@@ -195,6 +195,24 @@ impl Layer for AvgPool2d {
 }
 
 /// Global average pooling: NCHW → `[N, C]`.
+pub(crate) fn global_avg_pool(input: &Tensor) -> Tensor {
+    let s = input.shape();
+    assert_eq!(s.len(), 4, "global pooling expects NCHW input");
+    let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+    let norm = 1.0 / (h * w) as f32;
+    let x = input.as_slice();
+    let mut y = Tensor::zeros(&[n, c]);
+    let ys = y.as_mut_slice();
+    for ni in 0..n {
+        for ci in 0..c {
+            let base = (ni * c + ci) * h * w;
+            ys[ni * c + ci] = x[base..base + h * w].iter().sum::<f32>() * norm;
+        }
+    }
+    y
+}
+
+/// Global average pooling layer: NCHW → `[N, C]`.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalAvgPool {
     input_shape: Option<[usize; 4]>,
@@ -209,21 +227,10 @@ impl GlobalAvgPool {
 
 impl Layer for GlobalAvgPool {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let s = input.shape();
-        assert_eq!(s.len(), 4, "global pooling expects NCHW input");
-        let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
-        let norm = 1.0 / (h * w) as f32;
-        let x = input.as_slice();
-        let mut y = Tensor::zeros(&[n, c]);
-        let ys = y.as_mut_slice();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                ys[ni * c + ci] = x[base..base + h * w].iter().sum::<f32>() * norm;
-            }
-        }
+        let y = global_avg_pool(input);
         if train {
-            self.input_shape = Some([n, c, h, w]);
+            let s = input.shape();
+            self.input_shape = Some([s[0], s[1], s[2], s[3]]);
         }
         y
     }

@@ -6,7 +6,10 @@
 //! the MRAM PEs; the per-stage activations ("taps") are handed to the
 //! Rep-Net path.
 
-use crate::layers::{BatchNorm2d, Conv2d, GlobalAvgPool, Layer, Param, Relu};
+use crate::layers::{
+    global_avg_pool, BatchNorm2d, Conv2d, ConvScratch, FrozenBn, FrozenConv, GlobalAvgPool, Layer,
+    Param, Relu,
+};
 use crate::tensor::Tensor;
 use pim_par::WorkPool;
 use pim_sparse::prune::prune_magnitude;
@@ -52,6 +55,13 @@ impl ConvBnRelu {
     /// [`Backbone::attach_pool`]).
     pub fn attach_pool(&mut self, pool: &Arc<WorkPool>) {
         self.conv.attach_pool(Arc::clone(pool));
+    }
+
+    fn freeze(&self) -> FrozenCbr {
+        FrozenCbr {
+            conv: self.conv.freeze(),
+            bn: self.bn.freeze(),
+        }
     }
 }
 
@@ -115,6 +125,14 @@ impl ResidualBlock {
     pub fn attach_pool(&mut self, pool: &Arc<WorkPool>) {
         self.cbr1.attach_pool(pool);
         self.conv2.attach_pool(Arc::clone(pool));
+    }
+
+    fn freeze(&self) -> FrozenBlock {
+        FrozenBlock {
+            cbr1: self.cbr1.freeze(),
+            conv2: self.conv2.freeze(),
+            bn2: self.bn2.freeze(),
+        }
     }
 }
 
@@ -338,6 +356,23 @@ impl Backbone {
         BackboneOutput { taps, features }
     }
 
+    /// Freezes the current weights into a [`FrozenBackbone`] for `&self`
+    /// inference.
+    pub fn freeze(&self) -> FrozenBackbone {
+        FrozenBackbone {
+            config: self.config.clone(),
+            stem: self.stem.freeze(),
+            stages: self
+                .stages
+                .iter()
+                .map(|stage| FrozenStage {
+                    transition: stage.transition.as_ref().map(ConvBnRelu::freeze),
+                    blocks: stage.blocks.iter().map(ResidualBlock::freeze).collect(),
+                })
+                .collect(),
+        }
+    }
+
     /// Magnitude-prunes every convolution to `pattern` (used for the
     /// `backbone@upstream` sparsity column; no fine-tuning follows, exactly
     /// as in the paper's PTQ+prune assessment).
@@ -410,6 +445,105 @@ impl Backbone {
     }
 }
 
+/// The backbone frozen for inference: each convolution's reduction-major
+/// weight copy and each BatchNorm's inference constants are built once
+/// (by [`Backbone::freeze`]), so [`forward`](Self::forward) runs on
+/// `&self` with caller-owned scratch. One frozen backbone can sit behind
+/// an `Arc` and serve any number of threads — the software analogue of
+/// the write-protected MRAM the backbone lives in. Its outputs are
+/// bit-identical to [`Backbone::forward_with_taps`] in eval mode: both
+/// run the same convolution, normalization and pooling kernels.
+#[derive(Debug, Clone)]
+pub struct FrozenBackbone {
+    config: BackboneConfig,
+    stem: FrozenCbr,
+    stages: Vec<FrozenStage>,
+}
+
+#[derive(Debug, Clone)]
+struct FrozenCbr {
+    conv: FrozenConv,
+    bn: FrozenBn,
+}
+
+impl FrozenCbr {
+    fn forward(&self, input: &Tensor, scratch: &mut ConvScratch, pool: &WorkPool) -> Tensor {
+        let mut y = self.bn.forward(&self.conv.forward(input, scratch, pool));
+        relu_in_place(&mut y);
+        y
+    }
+}
+
+#[derive(Debug, Clone)]
+struct FrozenBlock {
+    cbr1: FrozenCbr,
+    conv2: FrozenConv,
+    bn2: FrozenBn,
+}
+
+impl FrozenBlock {
+    fn forward(&self, input: &Tensor, scratch: &mut ConvScratch, pool: &WorkPool) -> Tensor {
+        let h = self.cbr1.forward(input, scratch, pool);
+        let mut h = self.bn2.forward(&self.conv2.forward(&h, scratch, pool));
+        for (a, &b) in h.as_mut_slice().iter_mut().zip(input.as_slice()) {
+            *a = (*a + b).max(0.0);
+        }
+        h
+    }
+}
+
+#[derive(Debug, Clone)]
+struct FrozenStage {
+    transition: Option<FrozenCbr>,
+    blocks: Vec<FrozenBlock>,
+}
+
+fn relu_in_place(t: &mut Tensor) {
+    for v in t.as_mut_slice() {
+        *v = v.max(0.0);
+    }
+}
+
+/// Caller-owned working memory of [`FrozenBackbone::forward`]: the
+/// convolutions' im2col and output arenas. Buffers only grow, so after
+/// the first forward at a given batch size no arena is reallocated.
+#[derive(Debug, Default)]
+pub struct BackboneScratch {
+    conv: ConvScratch,
+}
+
+impl FrozenBackbone {
+    /// The configuration the backbone was built from.
+    pub fn config(&self) -> &BackboneConfig {
+        &self.config
+    }
+
+    /// Runs the backbone in eval mode, returning the per-stage taps and
+    /// the pooled features. The convolutions' rows fan out over `pool`,
+    /// bit-identically to the serial path.
+    pub fn forward(
+        &self,
+        input: &Tensor,
+        scratch: &mut BackboneScratch,
+        pool: &WorkPool,
+    ) -> BackboneOutput {
+        let conv = &mut scratch.conv;
+        let mut x = self.stem.forward(input, conv, pool);
+        let mut taps = Vec::with_capacity(self.stages.len());
+        for stage in &self.stages {
+            if let Some(t) = &stage.transition {
+                x = t.forward(&x, conv, pool);
+            }
+            for block in &stage.blocks {
+                x = block.forward(&x, conv, pool);
+            }
+            taps.push(x.clone());
+        }
+        let features = global_avg_pool(&x);
+        BackboneOutput { taps, features }
+    }
+}
+
 impl Layer for Backbone {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         self.forward_with_taps(input, train).features
@@ -471,6 +605,37 @@ mod tests {
         assert_eq!(out.taps[1].shape(), &[2, 16, 8, 8]);
         assert_eq!(out.taps[2].shape(), &[2, 32, 4, 4]);
         assert_eq!(out.features.shape(), &[2, 32]);
+    }
+
+    #[test]
+    fn frozen_forward_is_bit_exact_with_the_eval_forward() {
+        let mut bb = Backbone::new(BackboneConfig {
+            in_channels: 3,
+            image_size: 8,
+            stage_widths: vec![4, 8, 8],
+            blocks_per_stage: 2,
+            seed: 3,
+        });
+        // Non-trivial running statistics, as after pretraining.
+        let warm = Tensor::from_fn(&[4, 3, 8, 8], |i| (i as f32 * 0.11).sin() * 2.0 + 0.3);
+        let _ = bb.forward_with_taps(&warm, true);
+        let x = Tensor::from_fn(&[3, 3, 8, 8], |i| (i as f32 * 0.07).cos());
+        let want = bb.forward_with_taps(&x, false);
+        let frozen = bb.freeze();
+        let mut scratch = BackboneScratch::default();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 3] {
+            let pool = WorkPool::with_forced_threads(threads);
+            // Twice: the second pass reuses warmed scratch.
+            for _ in 0..2 {
+                let got = frozen.forward(&x, &mut scratch, &pool);
+                assert_eq!(got.taps.len(), want.taps.len());
+                for (g, w) in got.taps.iter().zip(&want.taps) {
+                    assert_eq!(bits(g), bits(w), "tap diverged at {threads} threads");
+                }
+                assert_eq!(bits(&got.features), bits(&want.features));
+            }
+        }
     }
 
     #[test]

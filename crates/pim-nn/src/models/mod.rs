@@ -13,6 +13,9 @@ mod backbone;
 mod pretrain;
 mod repnet;
 
-pub use backbone::{Backbone, BackboneConfig, BackboneOutput, ConvBnRelu, ResidualBlock};
+pub use backbone::{
+    Backbone, BackboneConfig, BackboneOutput, BackboneScratch, ConvBnRelu, FrozenBackbone,
+    ResidualBlock,
+};
 pub use pretrain::PretrainNet;
 pub use repnet::{RepNet, RepNetConfig, RepNetModule};

@@ -24,6 +24,7 @@ use crate::sparse::{SparseConv2d, SparseLinear};
 use crate::tensor::Tensor;
 use crate::train::{Dataset, Model};
 use pim_sparse::NmPattern;
+use std::borrow::Cow;
 
 /// One reprogramming module: activation connector (1×1 conv from the tap),
 /// optional 2× average pool on the carried state, then 3×3 conv + 1×1 conv.
@@ -314,11 +315,12 @@ impl RepNet {
         self.classifier = head;
     }
 
-    fn maybe_quant(&self, t: Tensor) -> Tensor {
+    /// `t` itself, or its INT8 fake-quant copy under `int8_eval`.
+    fn maybe_quant<'a>(&self, t: &'a Tensor) -> Cow<'a, Tensor> {
         if self.int8_eval {
-            fake_quant_auto(&t)
+            Cow::Owned(fake_quant_auto(t))
         } else {
-            t
+            Cow::Borrowed(t)
         }
     }
 
@@ -347,15 +349,11 @@ impl RepNet {
             self.modules.len(),
             "one tap per rep module required"
         );
-        let features = self.maybe_quant(features.clone());
+        let features = self.maybe_quant(features);
         let mut rep: Option<Tensor> = None;
-        for (module, tap) in self.modules.iter_mut().zip(taps) {
-            let tap_q = if self.int8_eval {
-                fake_quant_auto(tap)
-            } else {
-                tap.clone()
-            };
-            let next = module.forward(rep.as_ref(), &tap_q, train);
+        for (i, tap) in taps.iter().enumerate() {
+            let tap = self.maybe_quant(tap);
+            let next = self.modules[i].forward(rep.as_ref(), &tap, train);
             rep = Some(if self.int8_eval {
                 fake_quant_auto(&next)
             } else {
@@ -373,25 +371,7 @@ impl Model for RepNet {
     fn predict(&mut self, input: &Tensor, train: bool) -> Tensor {
         // Backbone is frozen: always inference mode, no caching.
         let out = self.backbone.forward_with_taps(input, false);
-        let features = self.maybe_quant(out.features);
-        let mut rep: Option<Tensor> = None;
-        for (module, tap) in self.modules.iter_mut().zip(&out.taps) {
-            let tap_q = if self.int8_eval {
-                fake_quant_auto(tap)
-            } else {
-                tap.clone()
-            };
-            let next = module.forward(rep.as_ref(), &tap_q, train);
-            rep = Some(if self.int8_eval {
-                fake_quant_auto(&next)
-            } else {
-                next
-            });
-        }
-        let rep_state = rep.expect("at least one rep module");
-        let rep_feat = self.rep_gap.forward(&rep_state, train);
-        let combined = concat_cols(&features, &rep_feat);
-        Layer::forward(&mut self.classifier, &combined, train)
+        self.predict_from_taps(&out.taps, &out.features, train)
     }
 
     fn backprop(&mut self, grad_logits: &Tensor) {

@@ -429,6 +429,18 @@ impl SramSparsePe {
         };
     }
 
+    /// The analytic per-matvec cost of the resident tile, precomputed at
+    /// load/update time — what [`record_matvecs`](Self::record_matvecs)
+    /// folds per matvec, readable without touching the ledger.
+    ///
+    /// # Errors
+    ///
+    /// [`PeError::NotLoaded`] with no resident tile.
+    pub fn matvec_cost(&self) -> Result<MatvecCost, PeError> {
+        self.tile.as_ref().ok_or(PeError::NotLoaded)?;
+        Ok(self.cost)
+    }
+
     /// The accounting half of [`matvec_batch`](SparsePe::matvec_batch):
     /// folds `count` matvecs of the resident tile into the PE ledger, in
     /// the same sequential order (and therefore the same f64 bit patterns)

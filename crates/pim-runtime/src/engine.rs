@@ -1,18 +1,19 @@
 //! The serving engine: builder, worker pool, and the submit and serve
 //! paths around the one-lock admission queue and batcher (`queue.rs`).
 
-use crate::compiled::{CompiledModel, ModelReplica};
+use crate::compiled::CompiledModel;
 use crate::error::RuntimeError;
 use crate::queue::{AdmissionQueue, AdmitError};
 use crate::request::{InferResponse, ModelId, QueuedRequest, Ticket};
 use crate::stats::RuntimeStats;
 use crate::telemetry::RuntimeTelemetry;
+use pim_core::pe_inference::PeScratch;
 use pim_nn::layers::predictions;
 use pim_nn::tensor::Tensor;
 use pim_par::{PoolCounters, WorkPool};
 use pim_telemetry::Telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -39,7 +40,7 @@ impl Default for BatchPolicy {
 /// Runtime sizing knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Worker threads, each owning replica PEs of every model.
+    /// Serving worker threads, each with its own scratch.
     pub workers: usize,
     /// Bound of the shared request queue (backpressure past this).
     pub queue_capacity: usize,
@@ -170,8 +171,10 @@ impl RuntimeBuilder {
     /// and [`RuntimeStats`] is a view of them.
     ///
     /// Runtimes sharing a bundle need distinct
-    /// [`replica_label`](Self::replica_label)s; with equal labels they
-    /// write, and their stats read, the same series.
+    /// [`replica_label`](Self::replica_label)s: [`start`](Self::start)
+    /// refuses a second runtime with the same label (or none) on one
+    /// bundle, since both would write, and their stats read, the same
+    /// series.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -196,6 +199,12 @@ impl RuntimeBuilder {
     }
 
     /// Spawns the worker pool and opens the queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another runtime already registered this builder's
+    /// [`replica_label`](Self::replica_label) (or, without one, no label)
+    /// on the [`telemetry`](Self::telemetry) bundle.
     pub fn start(mut self) -> Runtime {
         // Resolve tuned defaults now, so explicit setter calls win no
         // matter where `tuned()` appeared in the chain.
@@ -217,9 +226,9 @@ impl RuntimeBuilder {
             self.telemetry.unwrap_or_else(Telemetry::private),
             self.replica_label.as_deref(),
         );
-        // One compute pool, shared by every worker's replicas: serving
-        // workers parallelize across requests, the pool parallelizes
-        // within one. Default width = cores not taken by the workers.
+        // One compute pool, shared by every worker: serving workers
+        // parallelize across requests, the pool parallelizes within one.
+        // Default width = cores not taken by the workers.
         let par_threads = self.par_threads.unwrap_or_else(|| {
             let cores = thread::available_parallelism()
                 .map(|n| n.get())
@@ -227,6 +236,7 @@ impl RuntimeBuilder {
             cores.saturating_sub(self.config.workers).max(1)
         });
         let pool = Arc::new(WorkPool::new(par_threads));
+        telemetry.workers.set(self.config.workers as f64);
         telemetry.pool_threads.set(pool.threads() as f64);
         let input_shapes = self
             .models
@@ -236,13 +246,9 @@ impl RuntimeBuilder {
         let slots: Vec<ModelSlot> = self
             .models
             .into_iter()
-            .map(|mut m| {
-                m.attach_pe_telemetry(telemetry.pe.clone());
-                m.attach_pool(Arc::clone(&pool));
-                ModelSlot {
-                    version: 0,
-                    model: Arc::new(m),
-                }
+            .map(|m| ModelSlot {
+                version: 0,
+                model: Arc::new(m),
             })
             .collect();
         let model_count = slots.len();
@@ -252,7 +258,6 @@ impl RuntimeBuilder {
             config: self.config.clone(),
             input_shapes,
             models: Mutex::new(slots),
-            swap_epoch: AtomicU64::new(0),
             telemetry,
         });
         let workers = (0..self.config.workers)
@@ -260,20 +265,7 @@ impl RuntimeBuilder {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("pim-worker-{i}"))
-                    .spawn(move || {
-                        // Each worker owns its set of simulated PEs: one
-                        // replica of every registered model's cached tile
-                        // programs, tagged with the slot version it was
-                        // cloned from so hot swaps can refresh it lazily.
-                        let mut replicas: Vec<(u64, ModelReplica)> = {
-                            let slots = shared.models.lock().expect("model table lock");
-                            slots
-                                .iter()
-                                .map(|s| (s.version, s.model.replica()))
-                                .collect()
-                        };
-                        worker_loop(&shared, &mut replicas, i);
-                    })
+                    .spawn(move || worker_loop(&shared, i))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -289,14 +281,13 @@ impl RuntimeBuilder {
 /// this table; hot swaps replace `model` in place and bump `version`, so
 /// the id stays valid across publishes.
 struct ModelSlot {
-    /// Bumped on every swap; workers compare it against the version their
-    /// private replica was cloned from.
+    /// Bumped on every swap.
     version: u64,
     model: Arc<CompiledModel>,
 }
 
 struct Shared {
-    /// The intra-request compute pool every replica fans out over.
+    /// The intra-request compute pool every batch fans out over.
     pool: Arc<WorkPool>,
     /// Admission and batching under one lock: the closed flag, per-model
     /// FIFOs, per-model quotas and the live batching policy (`config.batch`
@@ -306,15 +297,24 @@ struct Shared {
     /// Expected `[C, H, W]` per slot, for `submit`'s checks without the
     /// model-table lock. Fixed at start: swaps must keep the shape.
     input_shapes: Vec<Vec<usize>>,
-    /// The serving model table (RCU write side). Locked briefly by
-    /// `swap_model` (publish) and workers re-cloning a swapped replica —
-    /// never across an inference.
+    /// The serving model table. Locked briefly by `swap_model` (one
+    /// `Arc` store) and by each worker taking its batch's `Arc` — never
+    /// across an inference. An update is a version bump and one `Arc`
+    /// store, so a panic under the lock cannot leave the table
+    /// half-written: holders recover the guard from a poisoned lock (see
+    /// [`Shared::models`]).
     models: Mutex<Vec<ModelSlot>>,
-    /// Bumped after any slot changes; workers poll this cheap atomic once
-    /// per batch and only touch the model table when it moved.
-    swap_epoch: AtomicU64,
     /// Pre-registered metric handles: the runtime's accounting.
     telemetry: RuntimeTelemetry,
+}
+
+impl Shared {
+    /// The model table, recovered from a poisoned lock: each critical
+    /// section reads slots or swaps one slot's `Arc`, so the table is
+    /// whole whichever thread panicked while holding it.
+    fn models(&self) -> MutexGuard<'_, Vec<ModelSlot>> {
+        self.models.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// The concurrent batched serving engine.
@@ -361,21 +361,20 @@ impl Runtime {
     /// may replace a slot after the snapshot is taken.
     pub fn models(&self) -> Vec<Arc<CompiledModel>> {
         self.shared
-            .models
-            .lock()
-            .expect("model table lock")
+            .models()
             .iter()
             .map(|s| Arc::clone(&s.model))
             .collect()
     }
 
     /// Atomically publishes `replacement` into the serving slot `model`
-    /// (RCU-style hot swap): requests already batched keep executing on
-    /// the replica cloned from the old artifact, and every batch collected
-    /// after the swap is served from the new one — workers re-clone their
-    /// private PEs lazily, at the next batch boundary, so the swap never
-    /// blocks on in-flight inference. Returns the slot's new version
-    /// number (starts at 0 when registered, +1 per swap).
+    /// (RCU-style hot swap): the swap is one `Arc` store under the model
+    /// table lock. A batch takes its slot's `Arc` when a worker forms it,
+    /// so batches formed before the swap finish on the old artifact and
+    /// every later batch runs on the new one; the swap never waits for
+    /// in-flight inference and no worker copies anything. Returns the
+    /// slot's new version number (starts at 0 when registered, +1 per
+    /// swap).
     ///
     /// The replacement must keep the slot's client-visible interface:
     /// same input shape and class count. This is what lets `pim-learn`
@@ -390,12 +389,11 @@ impl Runtime {
     pub fn swap_model(
         &self,
         model: ModelId,
-        mut replacement: CompiledModel,
+        replacement: CompiledModel,
     ) -> Result<u64, RuntimeError> {
-        replacement.attach_pe_telemetry(self.shared.telemetry.pe.clone());
-        replacement.attach_pool(Arc::clone(&self.shared.pool));
-        let version = {
-            let mut slots = self.shared.models.lock().expect("model table lock");
+        let replacement = Arc::new(replacement);
+        let (version, retired) = {
+            let mut slots = self.shared.models();
             let slot = slots
                 .get_mut(model.0)
                 .ok_or(RuntimeError::UnknownModel { id: model })?;
@@ -410,13 +408,14 @@ impl Runtime {
                 });
             }
             slot.version += 1;
-            slot.model = Arc::new(replacement);
-            slot.version
+            (
+                slot.version,
+                std::mem::replace(&mut slot.model, replacement),
+            )
         };
-        // Publish after the slot is consistent; SeqCst pairs with the
-        // worker-side load so a worker seeing the new epoch also sees the
-        // new slot contents under the mutex.
-        self.shared.swap_epoch.fetch_add(1, Ordering::SeqCst);
+        // The old artifact is freed (if no batch still holds it) outside
+        // the lock.
+        drop(retired);
         let tel = &self.shared.telemetry;
         tel.swaps_total.inc();
         tel.bundle
@@ -496,13 +495,7 @@ impl Runtime {
     /// Current version of every serving slot, in registration (id) order
     /// (0 when registered, +1 per [`swap_model`](Self::swap_model)).
     pub fn model_versions(&self) -> Vec<u64> {
-        self.shared
-            .models
-            .lock()
-            .expect("model table lock")
-            .iter()
-            .map(|s| s.version)
-            .collect()
+        self.shared.models().iter().map(|s| s.version).collect()
     }
 
     /// Executor count of the shared intra-request compute pool.
@@ -621,51 +614,35 @@ impl Drop for Runtime {
     }
 }
 
-/// Per-worker staging buffers reused across batches: after warm-up a
-/// worker stacks inputs and records queue waits without touching the
-/// allocator (the PE branch's own scratch arenas live in its replica).
+/// Per-worker buffers reused across batches: after warm-up a worker
+/// stacks inputs, runs the forward pass and records queue waits without
+/// touching the allocator for scratch. Built once per worker and never
+/// cloned; the models themselves are shared.
 #[derive(Debug, Default)]
 struct WorkerScratch {
     /// Row-major staging area the batch's input tensors are stacked into.
     staging: Vec<f32>,
     /// Per-rider queue waits for the stats and responses.
     waits: Vec<Duration>,
+    /// Backbone and PE-layer working memory of the forward pass.
+    pe: PeScratch,
 }
 
-fn worker_loop(shared: &Shared, replicas: &mut [(u64, ModelReplica)], worker: usize) {
-    // Replicas were cloned before the first epoch read could race a swap,
-    // so start from 0 and let the version check sort out staleness.
-    let mut seen_epoch = 0;
+fn worker_loop(shared: &Shared, worker: usize) {
     let mut scratch = WorkerScratch::default();
     while let Some(batch) = shared.queue.next_batch(worker) {
         shared.telemetry.queue_depth.set(batch.depth as f64);
-        refresh_replicas(shared, replicas, &mut seen_epoch);
-        serve_batch(shared, replicas, batch.requests, batch.formed, &mut scratch);
+        // RCU read side: the batch pins its slot's artifact now, so a
+        // swap from here on serves later batches and this one finishes
+        // on the model it was formed against.
+        let model = Arc::clone(&shared.models()[batch.requests[0].model.0].model);
+        serve_batch(shared, &model, batch.requests, batch.formed, &mut scratch);
     }
-}
-
-/// The RCU read-side grace period: at each batch boundary the worker
-/// checks the swap epoch and, only if it moved, re-clones the replicas
-/// whose slot version changed. Between boundaries a worker's replicas are
-/// immutable-by-others, so a batch that started on the old model finishes
-/// on it untouched.
-fn refresh_replicas(shared: &Shared, replicas: &mut [(u64, ModelReplica)], seen_epoch: &mut u64) {
-    let epoch = shared.swap_epoch.load(Ordering::SeqCst);
-    if epoch == *seen_epoch {
-        return;
-    }
-    let slots = shared.models.lock().expect("model table lock");
-    for (slot, entry) in slots.iter().zip(replicas.iter_mut()) {
-        if entry.0 != slot.version {
-            *entry = (slot.version, slot.model.replica());
-        }
-    }
-    *seen_epoch = epoch;
 }
 
 fn serve_batch(
     shared: &Shared,
-    replicas: &mut [(u64, ModelReplica)],
+    artifact: &CompiledModel,
     batch: Vec<QueuedRequest>,
     formed: Instant,
     scratch: &mut WorkerScratch,
@@ -685,9 +662,8 @@ fn serve_batch(
         shape[0] += r.input.shape()[0];
     }
     let stacked = Tensor::from_vec(shape, data).expect("riders share one shape");
-    let replica = &mut replicas[model.0].1;
     let compute_started = Instant::now();
-    let (logits, sim) = replica.infer_batch(&stacked);
+    let (logits, sim) = artifact.infer(&stacked, &mut scratch.pe, &shared.pool);
     let compute = compute_started.elapsed();
     scratch.staging = stacked.into_vec();
     let preds = predictions(&logits);
@@ -700,9 +676,9 @@ fn serve_batch(
         .waits
         .extend(batch.iter().map(|r| r.enqueued.elapsed()));
     // Count the batch before replying, so a client holding its response
-    // is guaranteed to find it in the stats snapshot. The PE ledger delta
-    // was already counted by the replica's branch inside `infer_batch`.
+    // is guaranteed to find it in the stats snapshot.
     let tel = &shared.telemetry;
+    tel.pe.record(&sim);
     tel.record_batch(sim.busy_time, &scratch.waits);
     // Mirror the compute pool's cumulative activity into its gauges.
     tel.mirror_pool(&shared.pool.counters());
@@ -746,4 +722,49 @@ fn serve_batch(
             ),
         ],
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pim_nn::models::{Backbone, BackboneConfig, RepNet, RepNetConfig};
+
+    fn artifact(seed: u64) -> CompiledModel {
+        let model = RepNet::new(
+            Backbone::new(BackboneConfig::tiny()),
+            RepNetConfig {
+                rep_channels: 4,
+                num_classes: 5,
+                seed,
+            },
+        );
+        CompiledModel::compile(format!("s{seed}"), &model).expect("compile")
+    }
+
+    #[test]
+    fn a_poisoned_model_table_still_swaps_and_serves_bit_exactly() {
+        let mut builder = Runtime::builder().workers(2);
+        let id = builder.register(artifact(1));
+        let runtime = builder.start();
+        let shared = Arc::clone(&runtime.shared);
+        let panicked = thread::spawn(move || {
+            let _table = shared.models.lock().expect("first lock is clean");
+            panic!("worker dies holding the model table");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(runtime.shared.models.is_poisoned());
+
+        let replacement = artifact(2);
+        let input = Tensor::ones(&[1, 1, 8, 8]);
+        let (want, _) = replacement.infer_reference(&input);
+        assert_eq!(runtime.swap_model(id, replacement).expect("swap"), 1);
+        assert_eq!(runtime.model_versions(), vec![1]);
+        assert_eq!(runtime.models()[0].name(), "s2");
+        for _ in 0..4 {
+            let got = runtime.infer(id, &input).expect("served");
+            assert_eq!(got.logits, want.as_slice(), "bit-exact after recovery");
+        }
+        assert_eq!(runtime.shutdown().requests_completed, 4);
+    }
 }

@@ -9,10 +9,11 @@
 //!   trained `RepNet` through INT8 quantization, N:M CSC compression,
 //!   and column tiling exactly once, caching the loaded SRAM PE tile
 //!   programs for reuse across every subsequent request.
-//! * **Sharded worker pool** — each worker thread owns a private
-//!   [`replica`](CompiledModel) of every registered model (its own
-//!   simulated PEs), so serving never contends on PE state; workers
-//!   drain one shared bounded request queue.
+//! * **One shared model, per-worker scratch** — a registered
+//!   [`CompiledModel`] is immutable (frozen backbone plus compiled tile
+//!   programs) and every worker thread serves the same copy on `&self`,
+//!   keeping only its own scratch buffers; workers drain one shared
+//!   bounded request queue.
 //! * **Coalescing batcher** — compatible requests (same model, same
 //!   shape) queued together are merged into one PE batch, up to a
 //!   [`BatchPolicy`] `max_batch`. A batch leaves as soon as a worker
@@ -21,12 +22,13 @@
 //!   bit-exact with sequential execution: the backbone runs in eval mode
 //!   (BatchNorm running stats) and the PE path is per-sample
 //!   independent.
-//! * **Hot model swap** — [`Runtime::swap_model`] atomically publishes a
-//!   replacement artifact into a serving slot (RCU-style): batches
-//!   already collected finish on the old model, later batches see the
-//!   new one, and clients keep their [`ModelId`] across the swap. This
-//!   is the seam `pim-learn` uses to push continually-trained weights
-//!   into live serving.
+//! * **Hot model swap** — [`Runtime::swap_model`] publishes a replacement
+//!   artifact into a serving slot with one `Arc` store (RCU-style): each
+//!   batch takes its slot's `Arc` when it is formed, so batches already
+//!   formed finish on the old model, later batches see the new one, no
+//!   worker copies anything, and clients keep their [`ModelId`] across
+//!   the swap. This is the seam `pim-learn` uses to push
+//!   continually-trained weights into live serving.
 //! * **Backpressure & graceful shutdown** — a full queue makes
 //!   [`Runtime::submit`] return [`RuntimeError::QueueFull`] immediately
 //!   (it never blocks); [`Runtime::shutdown`] stops intake, drains every
@@ -185,12 +187,12 @@ mod tests {
         let after = runtime.infer(id, &input).expect("infer after swap");
         assert_ne!(before.logits, after.logits, "replacement has new weights");
 
-        // The served logits must be bit-exact with a cold replica of the
+        // The served logits must be bit-exact with a reference run of the
         // swapped-in artifact.
         let mut batched_shape = vec![1];
         batched_shape.extend_from_slice(input.shape());
         let batched = input.reshaped(batched_shape).expect("unit batch axis");
-        let (reference, _) = compiled_b.replica().infer_batch(&batched);
+        let (reference, _) = compiled_b.infer_reference(&batched);
         assert_eq!(after.logits, reference.as_slice().to_vec());
 
         let stats = runtime.shutdown();
@@ -227,6 +229,154 @@ mod tests {
         ));
         assert_eq!(runtime.stats().model_swaps, 0);
         runtime.shutdown();
+    }
+
+    /// An artifact whose backbone and branch both differ from
+    /// `tiny_model()`'s, so a batch mixing the two would match neither.
+    fn other_artifact() -> CompiledModel {
+        let model = RepNet::new(
+            Backbone::new(BackboneConfig {
+                seed: 9,
+                ..BackboneConfig::tiny()
+            }),
+            RepNetConfig {
+                rep_channels: 4,
+                num_classes: 5,
+                seed: 77,
+            },
+        );
+        CompiledModel::compile("b", &model).expect("compile b")
+    }
+
+    #[test]
+    fn swaps_under_load_serve_exactly_one_artifact_per_answer() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+
+        let a = CompiledModel::compile("a", &tiny_model()).expect("compile a");
+        let b = other_artifact();
+        let inputs: Vec<Tensor> = (0..6)
+            .map(|k| Tensor::from_fn(&[1, 1, 8, 8], |i| ((i * 7 + k * 13) % 17) as f32 / 17.0))
+            .collect();
+        let refs = |m: &CompiledModel| -> Vec<Vec<u32>> {
+            inputs
+                .iter()
+                .map(|x| {
+                    let (logits, _) = m.infer_reference(x);
+                    logits.as_slice().iter().map(|v| v.to_bits()).collect()
+                })
+                .collect()
+        };
+        let (ref_a, ref_b) = (refs(&a), refs(&b));
+        assert!(ref_a.iter().zip(&ref_b).all(|(x, y)| x != y));
+
+        let mut builder = Runtime::builder().workers(4).par_threads(1);
+        let id = builder.register(a.clone());
+        let runtime = Arc::new(builder.start());
+        let done = Arc::new(AtomicBool::new(false));
+        let swapper = {
+            let (runtime, done) = (Arc::clone(&runtime), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut swaps = 0u64;
+                while !done.load(Ordering::SeqCst) {
+                    let next = if swaps.is_multiple_of(2) {
+                        b.clone()
+                    } else {
+                        a.clone()
+                    };
+                    runtime.swap_model(id, next).expect("compatible swap");
+                    swaps += 1;
+                }
+                swaps
+            })
+        };
+        let clients: Vec<_> = (0..4)
+            .map(|c| {
+                let runtime = Arc::clone(&runtime);
+                let inputs = inputs.clone();
+                let (ref_a, ref_b) = (ref_a.clone(), ref_b.clone());
+                std::thread::spawn(move || {
+                    let (mut seen_a, mut seen_b) = (0, 0);
+                    for round in 0..40 {
+                        let tickets: Vec<_> = (0..inputs.len())
+                            .map(|k| {
+                                let k = (k + c + round) % inputs.len();
+                                (k, runtime.submit(id, &inputs[k]).expect("admitted"))
+                            })
+                            .collect();
+                        for (k, ticket) in tickets {
+                            let got: Vec<u32> = ticket
+                                .wait()
+                                .expect("answered")
+                                .logits
+                                .iter()
+                                .map(|v| v.to_bits())
+                                .collect();
+                            if got == ref_a[k] {
+                                seen_a += 1;
+                            } else {
+                                assert_eq!(got, ref_b[k], "answer matches neither artifact");
+                                seen_b += 1;
+                            }
+                        }
+                    }
+                    (seen_a, seen_b)
+                })
+            })
+            .collect();
+        let (mut total_a, mut total_b) = (0, 0);
+        for client in clients {
+            let (sa, sb) = client.join().expect("client thread");
+            total_a += sa;
+            total_b += sb;
+        }
+        done.store(true, Ordering::SeqCst);
+        let swaps = swapper.join().expect("swapper thread");
+        assert!(swaps > 0);
+        assert_eq!(total_a + total_b, 4 * 40 * inputs.len());
+        let runtime = Arc::into_inner(runtime).expect("threads joined");
+        assert_eq!(runtime.shutdown().model_swaps, swaps);
+    }
+
+    #[test]
+    #[should_panic(expected = "a runtime with no replica_label is already registered")]
+    fn second_unlabelled_runtime_on_one_bundle_is_refused() {
+        let bundle = Telemetry::new();
+        let start = || {
+            let mut builder = Runtime::builder()
+                .workers(1)
+                .telemetry(std::sync::Arc::clone(&bundle));
+            builder.register(CompiledModel::compile("tiny", &tiny_model()).expect("compile"));
+            builder.start()
+        };
+        let _first = start();
+        let _second = start();
+    }
+
+    #[test]
+    fn distinct_replica_labels_share_one_bundle() {
+        let bundle = Telemetry::new();
+        let start = |label: &str| {
+            let mut builder = Runtime::builder()
+                .workers(1)
+                .telemetry(std::sync::Arc::clone(&bundle))
+                .replica_label(label);
+            let id =
+                builder.register(CompiledModel::compile("tiny", &tiny_model()).expect("compile"));
+            (builder.start(), id)
+        };
+        let (r0, id) = start("0");
+        let (r1, _) = start("1");
+        let input = Tensor::ones(&[1, 8, 8]);
+        r0.infer(id, &input).expect("infer");
+        assert_eq!(r0.stats().requests_completed, 1);
+        assert_eq!(r1.stats().requests_completed, 0, "series stay apart");
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| start("1")));
+        let Err(message) = refused else {
+            panic!("a duplicate label must be refused");
+        };
+        let message = message.downcast_ref::<String>().expect("formatted panic");
+        assert!(message.contains("replica_label \"1\""), "{message}");
     }
 
     #[test]

@@ -24,6 +24,10 @@ pub const STAGE_METRIC: &str = "pim_runtime_stage_seconds";
 /// The `source` label the runtime's [`PeTelemetry`] counters carry.
 pub const PE_SOURCE: &str = "serve";
 
+/// Gauge of a runtime's serving worker threads, claimed by the starting
+/// runtime: a bundle holds one per replica label.
+const WORKERS_METRIC: &str = "pim_runtime_workers";
+
 /// Adjacent bounds of the simulated-latency histogram differ by this
 /// factor, so a reported percentile over-states its sample by at most it.
 pub const SIM_LATENCY_BUCKET_FACTOR: f64 = 1.25;
@@ -46,6 +50,8 @@ pub(crate) struct RuntimeTelemetry {
     pub bundle: Arc<Telemetry>,
     /// When the handles were registered: the stats' `wall_elapsed` origin.
     started: Instant,
+    /// Serving worker threads.
+    pub workers: Gauge,
     /// Requests accepted but not yet dispatched.
     pub queue_depth: Gauge,
     /// Riders per dispatched batch.
@@ -84,22 +90,42 @@ pub(crate) struct RuntimeTelemetry {
     pub pool_caller_tasks: Gauge,
     /// Cumulative pool tasks executed by the pool's helper threads.
     pub pool_worker_tasks: Gauge,
-    /// The serving PE ledger, fed by every served branch.
+    /// The serving PE ledger, fed with every served batch's run ledger.
     pub pe: PeTelemetry,
 }
 
 impl RuntimeTelemetry {
-    /// Registers (or re-acquires) every serving family. With a `replica`
-    /// label the same family names register **distinct series** carrying
+    /// Registers every serving family. With a `replica` label the same
+    /// family names register **distinct series** carrying
     /// `replica="<label>"` — how a cluster keeps N runtimes apart in one
     /// registry — and with `None` the families are unlabelled, exactly as
     /// a standalone runtime has always registered them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a runtime already registered the same label (or none)
+    /// on `bundle`: the two would write, and their stats would read, the
+    /// same series.
     pub(crate) fn register(bundle: Arc<Telemetry>, replica: Option<&str>) -> Self {
         let registry = &bundle.registry;
         let seconds = seconds_buckets();
         let base: Vec<(&str, &str)> = match replica {
             Some(r) => vec![("replica", r)],
             None => Vec::new(),
+        };
+        let Some(workers) = registry.claim_gauge_with(
+            WORKERS_METRIC,
+            "Serving worker threads of the runtime",
+            &base,
+        ) else {
+            let label = match replica {
+                Some(r) => format!("replica_label {r:?}"),
+                None => "no replica_label".to_string(),
+            };
+            panic!(
+                "a runtime with {label} is already registered on this telemetry bundle; \
+                 runtimes sharing a bundle need distinct replica labels"
+            );
         };
         let stage = |stage: &str| {
             let mut labels = vec![("stage", stage)];
@@ -114,6 +140,7 @@ impl RuntimeTelemetry {
         let counter = |name: &str, help: &str| registry.counter_with(name, help, &base);
         let gauge = |name: &str, help: &str| registry.gauge_with(name, help, &base);
         Self {
+            workers,
             queue_depth: gauge(
                 "pim_runtime_queue_depth",
                 "Requests accepted but not yet dispatched",
@@ -198,8 +225,8 @@ impl RuntimeTelemetry {
 
     /// Counts one served batch of `waits.len()` riders: every rider is
     /// charged the batch's simulated latency `sim_busy`, and `waits` are
-    /// their wall-clock waits. The batch's PE ledger delta is counted
-    /// apart, by the branch that ran it (into [`pe`](Self::pe)).
+    /// their wall-clock waits. The batch's PE run ledger is counted apart,
+    /// into [`pe`](Self::pe).
     pub(crate) fn record_batch(&self, sim_busy: Latency, waits: &[Duration]) {
         let size = waits.len();
         self.batch_size.observe(size as f64);

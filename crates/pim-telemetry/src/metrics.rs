@@ -417,6 +417,22 @@ impl TelemetryRegistry {
         }
     }
 
+    /// Registers a labelled gauge only if `(name, labels)` is not
+    /// registered yet, atomically under the registry lock: `None` when
+    /// the series already exists. How a component claims a series no
+    /// other instance on the same registry may share.
+    pub fn claim_gauge_with(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+    ) -> Option<Gauge> {
+        match self.entry(name, help, labels, || MetricKind::Gauge(Gauge::default())) {
+            (MetricKind::Gauge(g), true) => Some(g),
+            _ => None,
+        }
+    }
+
     fn get_or_register(
         &self,
         name: &str,
@@ -424,6 +440,18 @@ impl TelemetryRegistry {
         labels: &[(&str, &str)],
         build: impl FnOnce() -> MetricKind,
     ) -> MetricKind {
+        self.entry(name, help, labels, build).0
+    }
+
+    /// The metric registered under `(name, labels)`, registered from
+    /// `build` when absent; `true` when this call registered it.
+    fn entry(
+        &self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        build: impl FnOnce() -> MetricKind,
+    ) -> (MetricKind, bool) {
         assert!(valid_metric_name(name), "invalid metric name {name:?}");
         assert!(
             labels.iter().all(|(k, _)| valid_label_name(k)),
@@ -434,7 +462,7 @@ impl TelemetryRegistry {
             .iter()
             .find(|e| e.name == name && label_eq(&e.labels, labels))
         {
-            return e.metric.clone();
+            return (e.metric.clone(), false);
         }
         let metric = build();
         entries.push(Entry {
@@ -446,7 +474,7 @@ impl TelemetryRegistry {
                 .collect(),
             metric: metric.clone(),
         });
-        metric
+        (metric, true)
     }
 
     fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<MetricKind> {
@@ -728,6 +756,25 @@ mod tests {
     #[test]
     fn exponential_buckets_grow_by_the_factor() {
         assert_eq!(exponential_buckets(0.5, 2.0, 3), vec![0.5, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn a_series_is_claimed_once() {
+        let r = TelemetryRegistry::new();
+        let claimed = r.claim_gauge_with("owner", "owner", &[("replica", "0")]);
+        assert!(claimed.is_some());
+        assert!(r
+            .claim_gauge_with("owner", "owner", &[("replica", "0")])
+            .is_none());
+        assert!(r
+            .claim_gauge_with("owner", "owner", &[("replica", "1")])
+            .is_some());
+        // A claimed series is an ordinary gauge to everyone else.
+        claimed.expect("claimed").set(4.0);
+        assert_eq!(
+            r.gauge_with("owner", "owner", &[("replica", "0")]).value(),
+            4.0
+        );
     }
 
     #[test]

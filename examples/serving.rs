@@ -98,7 +98,7 @@ fn main() {
 
     // -- Spot-check: batched == sequential, bit for bit -------------------
     let mut reference_model = model.clone();
-    let mut reference = PeRepNet::compile(&mut reference_model).expect("compile");
+    let mut reference = PeRepNet::compile(&reference_model).expect("compile");
     let mut checked = 0;
     for (sample, response) in responses.iter().take(10) {
         let (logits, _) = reference.predict(&mut reference_model, &inputs[*sample]);

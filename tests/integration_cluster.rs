@@ -162,7 +162,7 @@ fn sharded_cluster_reproduces_the_single_macro_answer() {
 
     // Sequential single-macro reference.
     let mut reference_model = model.clone();
-    let mut reference = PeRepNet::compile(&mut reference_model).expect("compile");
+    let mut reference = PeRepNet::compile(&reference_model).expect("compile");
 
     let mut builder = ClusterBuilder::new()
         .replicas(2)

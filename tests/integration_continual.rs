@@ -85,7 +85,7 @@ fn online_steps_then_hot_swap_serve_bit_exact_within_budget() {
     // (a) Serving is bit-exact with a cold recompile of the learner's
     // current weights, for every test sample.
     let mut cold_model = engine.learner().model().clone();
-    let mut cold_branch = PeRepNet::compile(&mut cold_model).expect("cold recompile");
+    let mut cold_branch = PeRepNet::compile(&cold_model).expect("cold recompile");
     for i in 0..task.test.len() {
         let (x, _) = task.test.batch(&[i]);
         let served = runtime.infer(id, &x).expect("serve");
@@ -175,7 +175,7 @@ fn checkpoint_restores_and_write_back_republishes_the_restored_weights() {
         .expect("save");
     let reference = {
         let mut model = engine.learner().model().clone();
-        let mut branch = PeRepNet::compile(&mut model).expect("reference compile");
+        let mut branch = PeRepNet::compile(&model).expect("reference compile");
         let (x, _) = task.test.batch(&[0]);
         let (logits, _) = branch.predict(&mut model, &x);
         logits.as_slice().to_vec()
@@ -194,7 +194,7 @@ fn checkpoint_restores_and_write_back_republishes_the_restored_weights() {
     engine.write_back().expect("write back restored weights");
     let restored = engine.compiled();
     let mut cold_model = engine.learner().model().clone();
-    let mut cold_branch = PeRepNet::compile(&mut cold_model).expect("cold recompile");
+    let mut cold_branch = PeRepNet::compile(&cold_model).expect("cold recompile");
     let (x, _) = task.test.batch(&[0]);
     let (cold_logits, _) = cold_branch.predict(&mut cold_model, &x);
     assert_eq!(cold_logits.as_slice().to_vec(), reference);
