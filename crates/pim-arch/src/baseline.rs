@@ -16,12 +16,12 @@
 //! differ from the published macros; the relative orderings (the content
 //! of Fig. 7/8) are what the reproduction targets.
 
-use crate::pe_model::TileCost;
 use pim_device::components::{MramPeComponents, SramPeComponents};
 use pim_device::mtj::MtjParams;
 use pim_device::sram_cell::{SramCell, SramCellKind};
 use pim_device::units::{Area, Energy, Latency, Power};
 use pim_device::{EnergyLedger, TechnologyParams};
+use pim_pe::MatvecCost;
 
 /// Which storage technology a dense macro uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +152,7 @@ impl DenseMacro {
     }
 
     /// Active (non-leakage) cost of one full-tile matvec.
-    pub fn matvec_active_cost(&self) -> TileCost {
+    pub fn matvec_active_cost(&self) -> MatvecCost {
         let cycles = self.cycles_per_matvec;
         let latency = Latency::from_cycles(cycles, self.node.clock_mhz());
         let mut energy = EnergyLedger::new();
@@ -163,7 +163,7 @@ impl DenseMacro {
             let bits = self.weights_per_pe * 8;
             energy.add_read(MtjParams::dac24().read_energy * bits as f64);
         }
-        TileCost {
+        MatvecCost {
             cycles,
             latency,
             energy,
@@ -172,7 +172,7 @@ impl DenseMacro {
 
     /// Cost of (re)writing `weights` dense INT8 weights spread across PEs
     /// (differential writes on MRAM toggle half the bits on average).
-    pub fn write_cost(&self, weights: u64) -> TileCost {
+    pub fn write_cost(&self, weights: u64) -> MatvecCost {
         let bits = match self.tech {
             DenseTech::Sram => weights * 8,
             DenseTech::Mram => weights * 8 / 2,
@@ -186,7 +186,7 @@ impl DenseMacro {
         let cycles = (latency.as_ns() / self.node.cycle_ns()).ceil() as u64;
         let mut energy = EnergyLedger::new();
         energy.add_write(self.write_energy_per_bit * bits as f64);
-        TileCost {
+        MatvecCost {
             cycles,
             latency,
             energy,

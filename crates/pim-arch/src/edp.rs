@@ -24,7 +24,7 @@ use crate::mapper::{MapError, Mapper};
 use crate::workload::ModelProfile;
 use pim_device::sram_cell::{SramCell, SramCellKind};
 use pim_device::units::{edp, Latency};
-use pim_device::{EnergyLedger, TechnologyParams};
+use pim_device::EnergyLedger;
 use pim_sparse::NmPattern;
 use std::fmt;
 
@@ -178,25 +178,23 @@ pub fn hybrid_training_step(
 
     // Transposed-buffer refresh: the learnable (compressed) weights are
     // transposed and rewritten into SRAM buffers every step.
-    let tech = TechnologyParams::tsmc28();
+    let sram = mapper.sram_pe();
     let slots = repnet.slots(pattern);
-    let pair_bits = 12u64;
-    let w_cell = SramCell::new(SramCellKind::Compute8T, &tech);
+    let pair_bits = (sram.weight_bits + sram.index_bits) as u64;
+    let w_cell = SramCell::new(SramCellKind::Compute8T, &sram.tech);
     let transpose_write = w_cell.write_energy() * (slots * pair_bits) as f64;
     energy.add_write(transpose_write);
 
     // Weight update: only the surviving (compressed) Rep-Net weights are
-    // rewritten, in SRAM.
-    energy.add_write(w_cell.write_energy() * (slots * 8) as f64);
-    let rows = slots.div_ceil(128 * 8);
-    let update_latency = Latency::from_ns(rows as f64 * tech.cycle_ns());
+    // rewritten, in SRAM, one full PE row (every column group) per cycle.
+    energy.add_write(w_cell.write_energy() * (slots * sram.weight_bits as u64) as f64);
+    let rows = slots.div_ceil(sram.capacity_slots() as u64);
+    let update_latency = Latency::from_ns(rows as f64 * sram.tech.cycle_ns());
     latency += update_latency;
 
     // Idle leakage of the whole hybrid fabric over the added wall-clock.
-    let sram_leak =
-        crate::pe_model::SramTileModel::dac24().leakage_power() * hybrid.sram.pe_count as f64;
-    let mram_leak =
-        crate::pe_model::MramTileModel::dac24().leakage_power() * hybrid.mram.pe_count as f64;
+    let sram_leak = sram.leakage_power() * hybrid.sram.pe_count as f64;
+    let mram_leak = mapper.mram_pe().leakage_power() * hybrid.mram.pe_count as f64;
     energy.add_leakage((sram_leak + mram_leak) * (bwd_latency + update_latency));
 
     Ok(TrainingCost {
@@ -344,6 +342,44 @@ mod tests {
         .unwrap();
         assert!(rep.latency < all.latency);
         assert!(rep.energy.write < all.energy.write);
+    }
+
+    #[test]
+    fn hybrid_step_prices_the_mappers_own_pe_configs() {
+        // A 64×8 SRAM tile and 4-bit weights: pairs are 4 + 4 = 8 bits, a
+        // PE row of every column group holds 512 slots, and both fabrics
+        // leak at this config's rates — none of it the paper's point.
+        let config = crate::ArchConfig::dac24()
+            .with_sram_tile(64, 8)
+            .with_weight_bits(4)
+            .validated()
+            .unwrap();
+        let mapper = config.mapper().unwrap();
+        let (_, backbone, repnet) = setup();
+        let pattern = NmPattern::one_of_eight();
+        let cost = hybrid_training_step(&mapper, &backbone, &repnet, pattern).unwrap();
+
+        let hybrid = mapper.map_hybrid(&backbone, &repnet, pattern).unwrap();
+        let (sram, mram) = (&config.sram, &config.mram);
+        let slots = repnet.slots(pattern);
+        let w_cell = SramCell::new(SramCellKind::Compute8T, &sram.tech);
+        let mut energy = hybrid.total_energy();
+        let mut bwd = scale(hybrid.sram.energy, 2.0);
+        bwd.leakage = pim_device::units::Energy::ZERO;
+        energy += bwd;
+        energy.add_write(w_cell.write_energy() * (slots * 8) as f64);
+        energy.add_write(w_cell.write_energy() * (slots * 4) as f64);
+        let update = Latency::from_ns(slots.div_ceil(512) as f64 * sram.tech.cycle_ns());
+        let idle = hybrid.sram.latency * 2.0 + update;
+        let leak = sram.leakage_power() * hybrid.sram.pe_count as f64
+            + mram.leakage_power() * hybrid.mram.pe_count as f64;
+        energy.add_leakage(leak * idle);
+
+        assert_eq!(cost.energy, energy);
+        assert_eq!(
+            cost.latency,
+            hybrid.latency() + hybrid.sram.latency * 2.0 + update
+        );
     }
 
     #[test]

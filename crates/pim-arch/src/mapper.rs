@@ -15,19 +15,21 @@
 //! ## Energy roll-up
 //!
 //! Active (read/compute/buffer) energy is the sum of the per-tile costs of
-//! `pim_arch::pe_model` over all tile-matvecs — bit-identical to running
-//! the cycle simulators tile by tile. Leakage is charged for **every PE
-//! over the whole inference latency** (idle PEs leak too), which is what
-//! makes the all-SRAM baseline's inference power leakage-dominated
-//! (paper Fig. 7, log scale).
+//! [`SramPeConfig::matvec_cost`] and [`MramPeConfig::matvec_cost`] over all
+//! tile-matvecs — the same closed forms the `pim-pe` cycle simulators
+//! charge, so the roll-up is bit-identical to running them tile by tile.
+//! Leakage is charged for **every PE over the whole inference latency**
+//! (idle PEs leak too), which is what makes the all-SRAM baseline's
+//! inference power leakage-dominated (paper Fig. 7, log scale).
 
 use crate::baseline::DenseMacro;
 use crate::geometry::CoreGeometry;
 use crate::memory::MemoryModel;
-use crate::pe_model::{MramTileModel, SramTileModel};
 use crate::workload::ModelProfile;
-use pim_device::units::{edp, Area, Latency, Power};
+use pim_device::components::MramPeComponents;
+use pim_device::units::{edp, Area, Energy, Latency, Power};
 use pim_device::EnergyLedger;
+use pim_pe::{MramPeConfig, SramPeConfig};
 use pim_sparse::NmPattern;
 use std::fmt;
 
@@ -164,11 +166,12 @@ fn scale(ledger: EnergyLedger, f: f64) -> EnergyLedger {
     }
 }
 
-/// The deployment mapper. Holds the tile models, baselines, memory model,
-/// and core geometry.
+/// The deployment mapper. Holds the sparse PE configurations it prices
+/// tiles with, the dense baselines, the memory model, and the core
+/// geometry.
 pub struct Mapper {
-    sram: SramTileModel,
-    mram: MramTileModel,
+    sram: SramPeConfig,
+    mram: MramPeConfig,
     sram_dense: DenseMacro,
     mram_dense: DenseMacro,
     memory: MemoryModel,
@@ -180,8 +183,8 @@ impl Mapper {
     /// baselines, 4×4×4×4 cores.
     pub fn dac24() -> Self {
         Self {
-            sram: SramTileModel::dac24(),
-            mram: MramTileModel::dac24(),
+            sram: SramPeConfig::dac24(),
+            mram: MramPeConfig::dac24(),
             sram_dense: DenseMacro::isscc21_sram(),
             mram_dense: DenseMacro::iscas23_mram(),
             memory: MemoryModel::dac24(),
@@ -189,8 +192,9 @@ impl Mapper {
         }
     }
 
-    /// A mapper whose sparse tile models and capacity accounting follow a
-    /// declarative [`ArchConfig`](crate::config::ArchConfig) design point.
+    /// A mapper whose sparse PE configurations and capacity accounting
+    /// follow a declarative [`ArchConfig`](crate::config::ArchConfig) design
+    /// point.
     /// The dense SRAM/MRAM baselines and the memory model stay at the
     /// published reference designs — they are the fixed yardsticks every
     /// sweep point is normalized against, not part of the search space.
@@ -201,8 +205,8 @@ impl Mapper {
     /// not errors.
     pub fn from_config(config: &crate::config::ArchConfig) -> Self {
         Self {
-            sram: SramTileModel::new(config.sram.clone()),
-            mram: MramTileModel::new(config.mram.clone()),
+            sram: config.sram.clone(),
+            mram: config.mram.clone(),
             sram_dense: DenseMacro::isscc21_sram(),
             mram_dense: DenseMacro::iscas23_mram(),
             memory: MemoryModel::dac24(),
@@ -213,6 +217,16 @@ impl Mapper {
     /// The core geometry used for capacity accounting.
     pub fn geometry(&self) -> CoreGeometry {
         self.geometry
+    }
+
+    /// The SRAM sparse PE configuration Rep-Net tiles are priced with.
+    pub(crate) fn sram_pe(&self) -> &SramPeConfig {
+        &self.sram
+    }
+
+    /// The MRAM sparse PE configuration backbone tiles are priced with.
+    pub(crate) fn mram_pe(&self) -> &MramPeConfig {
+        &self.mram
     }
 
     /// Per-inference activation traffic of a model, in bits.
@@ -281,6 +295,7 @@ impl Mapper {
         let clock = m.node().clock_mhz();
         let budget_cycles = (budget.as_ns() / m.node().cycle_ns()).max(1.0);
         let total_macs = model.macs() as f64;
+        let comp = MramPeComponents::dac24();
         let mut pe_count = 0usize;
         let mut cycles_total = 0u64;
         let mut energy = EnergyLedger::new();
@@ -304,29 +319,13 @@ impl Mapper {
             );
             // Peripheral activity on every streaming PE.
             let busy = Latency::from_cycles(layer_cycles, clock);
-            let cost = m.matvec_active_cost();
-            // Powers are embedded in matvec_active_cost per full tile; we
-            // instead charge powers × busy × pes directly for partial tiles.
-            let _ = cost;
             energy.add_read(
-                (pim_device::components::MramPeComponents::dac24()
-                    .row_decoder_driver
-                    .power()
-                    + pim_device::components::MramPeComponents::dac24()
-                        .col_decoder_driver
-                        .power())
+                (comp.row_decoder_driver.power() + comp.col_decoder_driver.power())
                     * busy
                     * pes as f64,
             );
             energy.add_compute(
-                (pim_device::components::MramPeComponents::dac24()
-                    .parallel_shift_acc
-                    .power()
-                    + pim_device::components::MramPeComponents::dac24()
-                        .adder_tree
-                        .power())
-                    * busy
-                    * pes as f64,
+                (comp.parallel_shift_acc.power() + comp.adder_tree.power()) * busy * pes as f64,
             );
         }
         let latency = Latency::from_cycles(cycles_total, clock);
@@ -357,7 +356,7 @@ impl Mapper {
         if model.layers.is_empty() {
             return Err(MapError::EmptyModel);
         }
-        let cfg = self.mram.config().clone();
+        let cfg = &self.mram;
         let clock = cfg.tech.clock_mhz();
         let budget_cycles = (budget.as_ns() / cfg.tech.cycle_ns()).max(1.0);
         let total_macs = model.macs() as f64;
@@ -383,7 +382,7 @@ impl Mapper {
             let per_pe = self.mram.matvec_cost(rows_per_pe, pairs_per_pe);
             cycles_total += layer.passes as u64 * per_pe.cycles;
             let mut active = per_pe.energy;
-            active.leakage = pim_device::units::Energy::ZERO; // idle leakage added later
+            active.leakage = Energy::ZERO; // idle leakage added later
             energy += scale(active, (pes * layer.passes as u64) as f64);
         }
         let latency = Latency::from_cycles(cycles_total, clock);
@@ -392,15 +391,17 @@ impl Mapper {
         Ok(Deployment {
             name: format!("{} {pattern} on MRAM sparse PEs", model.name),
             pe_count,
-            area: pim_device::components::MramPeComponents::dac24().total_area() * pe_count as f64,
+            area: cfg.components.total_area() * pe_count as f64,
             storage_bits,
             latency,
             energy,
         })
     }
 
-    /// Maps an N:M-sparse model onto SRAM sparse PEs under a latency
-    /// budget.
+    /// Maps an N:M-sparse model onto SRAM sparse PEs, storage-provisioned:
+    /// the PE's `weight_bits × M + 3`-cycle matvec already beats any
+    /// latency budget the dense SRAM baseline sets, so no replication is
+    /// needed.
     ///
     /// # Errors
     ///
@@ -409,19 +410,17 @@ impl Mapper {
         &self,
         model: &ModelProfile,
         pattern: NmPattern,
-        budget: Latency,
     ) -> Result<Deployment, MapError> {
         if model.layers.is_empty() {
             return Err(MapError::EmptyModel);
         }
-        let cfg = self.sram.config().clone();
+        let cfg = &self.sram;
         let clock = cfg.tech.clock_mhz();
         let pair_bits = (cfg.weight_bits + cfg.index_bits) as u64;
         let mut pe_count = 0usize;
         let mut cycles_total = 0u64;
         let mut energy = EnergyLedger::new();
         let mut storage_bits = 0u64;
-        let _ = budget; // the SRAM PE latency floor (8·M+3) already beats it
         for layer in &model.layers {
             let slots_per_col = pattern.slots_for(layer.reduction) as u64;
             let groups_per_col = slots_per_col.div_ceil(cfg.rows as u64).max(1);
@@ -432,7 +431,7 @@ impl Mapper {
             let per_pe = self.sram.matvec_cost(pattern.m(), 0);
             cycles_total += layer.passes as u64 * per_pe.cycles;
             let mut active = per_pe.energy;
-            active.leakage = pim_device::units::Energy::ZERO;
+            active.leakage = Energy::ZERO;
             energy += scale(active, (pes * layer.passes as u64) as f64);
             // Activation buffer traffic.
             let buffer_bits = (layer.reduction * layer.passes) as u64 * 8;
@@ -469,7 +468,7 @@ impl Mapper {
             .latency;
         Ok(HybridDeployment {
             mram: self.map_sparse_mram(backbone, pattern, budget)?,
-            sram: self.map_sparse_sram(repnet, pattern, budget)?,
+            sram: self.map_sparse_sram(repnet, pattern)?,
         })
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::profile::profile_repnet;
 use pim_nn::models::{Backbone, BackboneConfig, RepNet, RepNetConfig};
-use pim_pe::{MramPeConfig, MramSparsePe, SparsePe, TransposedSramPe};
+use pim_pe::{MramPeConfig, MramSparsePe, SparsePe, SramPeConfig, TransposedSramPe};
 use pim_sparse::prune::prune_magnitude;
 use pim_sparse::{CscMatrix, CsrMatrix, Matrix, NmPattern};
 use std::fmt;
@@ -125,12 +125,13 @@ pub fn index_width_sweep() -> Vec<IndexWidthPoint> {
         NmPattern::new(1, 16).expect("valid"),
         NmPattern::new(4, 16).expect("valid"),
     ];
+    let sram = SramPeConfig::dac24();
     patterns
         .into_iter()
         .map(|pattern| {
-            let cycles = 8 * pattern.m() as u64 + 3;
+            let cycles = sram.matvec_cost(pattern.m(), 0).cycles;
             // A full 1024-slot tile covers 1024·(M/N) logical weights.
-            let logical = 1024.0 * pattern.m() as f64 / pattern.n() as f64;
+            let logical = sram.capacity_slots() as f64 * pattern.m() as f64 / pattern.n() as f64;
             IndexWidthPoint {
                 pattern,
                 index_bits: pattern.index_bits(),

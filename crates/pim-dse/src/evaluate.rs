@@ -3,9 +3,10 @@
 //! Evaluation is the `pim-arch` roll-up: build a mapper from the
 //! configuration, map the hybrid deployment (sparse backbone on MRAM PEs,
 //! sparse Rep-Net path on SRAM PEs), and read off latency / energy / area.
-//! The tile formulas inside that roll-up are bit-identical to the `pim-pe`
-//! cycle simulators (pinned by this crate's proptests), which is what
-//! makes the analytic tier trustworthy enough to prune on.
+//! The tile costs inside that roll-up are `pim-pe`'s own config-level
+//! cost functions, the ones the cycle simulators charge (this crate's
+//! proptests pin the ledger deltas), which is what makes the analytic tier
+//! trustworthy enough to prune on.
 
 use pim_arch::mapper::MapError;
 use pim_arch::workload::ModelProfile;

@@ -31,7 +31,7 @@ use crate::stats::{LoadReport, MatvecCost, MatvecReport, PeStats};
 use crate::SparsePe;
 use pim_device::components::MramPeComponents;
 use pim_device::mtj::{Mtj, MtjParams, MtjState};
-use pim_device::units::Latency;
+use pim_device::units::{Latency, Power};
 use pim_device::{EnergyLedger, TechnologyParams};
 use pim_sparse::csc::CscSlot;
 use pim_sparse::CscMatrix;
@@ -96,6 +96,45 @@ impl MramPeConfig {
     /// Raw storage capacity in bits.
     pub fn capacity_bits(&self) -> u64 {
         (self.rows * self.row_bits) as u64
+    }
+
+    /// Standby leakage of the digital periphery, modelled as 0.5% of its
+    /// active power (clock-gated standby at 28 nm). The MTJ array itself is
+    /// non-volatile and leaks nothing — the core MRAM advantage.
+    pub fn leakage_power(&self) -> Power {
+        self.components.total_power() * 0.005
+    }
+
+    /// Peripheral leakage over `elapsed`.
+    pub(crate) fn leakage_over(&self, elapsed: Latency) -> EnergyLedger {
+        let mut e = EnergyLedger::new();
+        e.add_leakage(self.leakage_power() * elapsed);
+        e
+    }
+
+    /// The closed-form bill of one matvec streaming `rows_used` stored rows
+    /// that carry `pairs` weight+index pairs, through Fig. 5's 3-stage
+    /// pipeline: one row per cycle + 3 (fill/drain), every stored pair
+    /// bit sensed, decoders and shift-acc/adder tree active throughout. It
+    /// depends only on the stored layout and this configuration, never on
+    /// the activations, so the PE precomputes it at load time and the
+    /// architecture mapper prices tiles with it.
+    pub fn matvec_cost(&self, rows_used: u64, pairs: u64) -> MatvecCost {
+        let cycles = rows_used + 3;
+        let latency = Latency::from_cycles(cycles, self.tech.clock_mhz());
+        let comp = &self.components;
+        let mut energy = self.leakage_over(latency);
+        let pair_bits = (self.weight_bits + self.index_bits) as u64;
+        energy.add_read(self.mtj.read_energy * (pairs * pair_bits) as f64);
+        energy.add_read(
+            (comp.row_decoder_driver.power() + comp.col_decoder_driver.power()) * latency,
+        );
+        energy.add_compute((comp.parallel_shift_acc.power() + comp.adder_tree.power()) * latency);
+        MatvecCost {
+            cycles,
+            latency,
+            energy,
+        }
     }
 }
 
@@ -289,46 +328,8 @@ impl MramSparsePe {
         debug_assert_eq!(self.kernel.cols(), tile.cols);
         debug_assert_eq!(self.kernel.nnz() as u64, tile.occupied_slots);
         self.packed = PackedKernel::pack_if_profitable(&self.kernel);
-        self.cost = self.analytic_matvec_cost();
-    }
-
-    /// The closed-form per-matvec bill of Fig. 5's 3-stage row stream —
-    /// one row per cycle + 3 (fill/drain), every stored bit of every
-    /// streamed row sensed, decoders and shift-acc/adder-tree active
-    /// throughout. Depends only on the stored layout and configuration,
-    /// never on the activations, which is why it can be precomputed at
-    /// load time.
-    fn analytic_matvec_cost(&self) -> MatvecCost {
-        let cycles = self.rows.len() as u64 + 3;
-        let latency = Latency::from_cycles(cycles, self.config.tech.clock_mhz());
-        let comp = &self.config.components;
-        let mut energy = self.peripheral_leakage(latency);
-        let pair_bits = (self.config.weight_bits + self.config.index_bits) as u64;
-        let bits_read: u64 = self
-            .rows
-            .iter()
-            .map(|r| r.pairs.len() as u64 * pair_bits)
-            .sum();
-        energy.add_read(self.config.mtj.read_energy * bits_read as f64);
-        energy.add_read(
-            (comp.row_decoder_driver.power() + comp.col_decoder_driver.power()) * latency,
-        );
-        energy.add_compute((comp.parallel_shift_acc.power() + comp.adder_tree.power()) * latency);
-        MatvecCost {
-            cycles,
-            latency,
-            energy,
-        }
-    }
-
-    /// Peripheral-logic leakage over `elapsed` (the MTJ array itself is
-    /// non-volatile and leaks nothing — the core MRAM advantage).
-    fn peripheral_leakage(&self, elapsed: Latency) -> EnergyLedger {
-        let mut e = EnergyLedger::new();
-        // Model peripheral leakage as 0.5% of the active peripheral power —
-        // clock-gated digital standby at 28 nm.
-        e.add_leakage(self.config.components.total_power() * 0.005 * elapsed);
-        e
+        let pairs = self.rows.iter().map(|r| r.pairs.len() as u64).sum();
+        self.cost = self.config.matvec_cost(self.rows.len() as u64, pairs);
     }
 }
 
@@ -442,7 +443,7 @@ impl SparsePe for MramSparsePe {
         let cycles = rows_written
             * (self.config.mtj.write_latency.as_ns() / self.config.tech.cycle_ns()).ceil() as u64;
         let latency = Latency::from_ns(rows_written as f64 * self.config.mtj.write_latency.as_ns());
-        let mut energy = self.peripheral_leakage(latency);
+        let mut energy = self.config.leakage_over(latency);
         energy.add_write(self.config.mtj.write_energy * bits_written as f64);
         // Retry pulses pay full set/reset energy each.
         energy.add_write(self.config.mtj.write_energy * retried_bits as f64);
@@ -588,6 +589,15 @@ mod tests {
         assert_eq!(pe.rows_used(), 16);
         let report = pe.matvec(&[1i8; 672]).unwrap();
         assert_eq!(report.cycles, 16 + 3);
+    }
+
+    #[test]
+    fn sram_leakage_dwarfs_mram_leakage() {
+        // The non-volatile array leaks nothing; only the gated periphery
+        // does, so a whole MRAM PE leaks far less than one SRAM PE.
+        let sram = crate::SramPeConfig::dac24().leakage_power();
+        let mram = MramPeConfig::dac24().leakage_power();
+        assert!(sram.as_mw() > 5.0 * mram.as_mw(), "{sram} vs {mram}");
     }
 
     #[test]
@@ -796,7 +806,7 @@ mod tests {
         let cycles = pe.rows.len() as u64 + 3;
         let latency = Latency::from_cycles(cycles, pe.config.tech.clock_mhz());
         let comp = &pe.config.components;
-        let mut energy = pe.peripheral_leakage(latency);
+        let mut energy = pe.config.leakage_over(latency);
         let pair_bits = (pe.config.weight_bits + pe.config.index_bits) as u64;
         let bits_read: u64 = pe
             .rows

@@ -44,7 +44,7 @@ use crate::stats::{LoadReport, MatvecCost, MatvecReport, PeStats};
 use crate::SparsePe;
 use pim_device::components::SramPeComponents;
 use pim_device::sram_cell::{SramCell, SramCellKind};
-use pim_device::units::Latency;
+use pim_device::units::{Latency, Power};
 use pim_device::{EnergyLedger, TechnologyParams};
 use pim_sparse::csc::CscSlot;
 use pim_sparse::CscMatrix;
@@ -87,6 +87,62 @@ impl SramPeConfig {
     /// Compressed slots the array holds.
     pub fn capacity_slots(&self) -> usize {
         self.rows * self.column_groups
+    }
+
+    /// One bit-cell of `kind` at this configuration's technology point.
+    pub(crate) fn cell(&self, kind: SramCellKind) -> SramCell {
+        SramCell::new(kind, &self.tech)
+    }
+
+    /// Static leakage power of the whole array: 8T weight cells plus 6T
+    /// index cells.
+    pub fn leakage_power(&self) -> Power {
+        let wcells = (self.rows * self.column_groups) as f64 * self.weight_bits as f64;
+        let icells = (self.rows * self.column_groups) as f64 * self.index_bits as f64;
+        self.cell(SramCellKind::Compute8T).leakage() * wcells
+            + self.cell(SramCellKind::Index6T).leakage() * icells
+    }
+
+    /// Array leakage over `elapsed`, charged per cell kind (weight cells
+    /// and index cells leak at different rates).
+    pub(crate) fn leakage_over(&self, elapsed: Latency) -> EnergyLedger {
+        let mut e = EnergyLedger::new();
+        let wcells = (self.rows * self.column_groups) as u64 * self.weight_bits as u64;
+        let icells = (self.rows * self.column_groups) as u64 * self.index_bits as u64;
+        e.add_leakage(
+            self.cell(SramCellKind::Compute8T)
+                .leakage_energy(wcells, elapsed),
+        );
+        e.add_leakage(
+            self.cell(SramCellKind::Index6T)
+                .leakage_energy(icells, elapsed),
+        );
+        e
+    }
+
+    /// The closed-form bill of one matvec over a loaded tile of
+    /// `tile_rows` logical rows at an `N:m` pattern: §3.1's pipelined walk
+    /// takes `weight_bits × m + 3` cycles with the read/compute channel
+    /// powers active throughout, plus the activation traffic through the
+    /// global buffer. It depends only on the tile shape and this
+    /// configuration, never on the activations, so the PE precomputes it
+    /// at load time and the architecture mapper prices tiles with it.
+    pub fn matvec_cost(&self, m: usize, tile_rows: usize) -> MatvecCost {
+        let cycles = self.weight_bits as u64 * m as u64 + 3;
+        let latency = Latency::from_cycles(cycles, self.tech.clock_mhz());
+        let comp = &self.components;
+        let mut energy = self.leakage_over(latency);
+        let read_power = comp.decoder.power() + comp.bit_cell.power() + comp.index_decoder.power();
+        energy.add_read(read_power * latency);
+        let compute_power = comp.shift_acc.power() + comp.adder.power() + comp.global_relu.power();
+        energy.add_compute(compute_power * latency);
+        let buffer_bits = (tile_rows as u64) * self.weight_bits as u64;
+        energy.add_read(comp.buffer_energy_per_bit * buffer_bits as f64);
+        MatvecCost {
+            cycles,
+            latency,
+            energy,
+        }
     }
 }
 
@@ -188,10 +244,6 @@ impl SramSparsePe {
         self.segments.len()
     }
 
-    fn cell(&self, kind: SramCellKind) -> SramCell {
-        SramCell::new(kind, &self.config.tech)
-    }
-
     /// Validates `weights` against the geometry and packs it into
     /// column-group segments without touching the resident program.
     fn pack_segments(&self, weights: &CscMatrix) -> Result<(Vec<Segment>, TileInfo), PeError> {
@@ -269,9 +321,9 @@ impl SramSparsePe {
         let cycles = delta.dirty_rows;
         let latency = Latency::from_cycles(cycles, self.config.tech.clock_mhz());
         let bits_written = weight_bits_changed + index_bits_changed;
-        let mut energy = self.leakage_over(latency);
-        let w_cell = self.cell(SramCellKind::Compute8T);
-        let i_cell = self.cell(SramCellKind::Index6T);
+        let mut energy = self.config.leakage_over(latency);
+        let w_cell = self.config.cell(SramCellKind::Compute8T);
+        let i_cell = self.config.cell(SramCellKind::Index6T);
         energy.add_write(
             w_cell.write_energy() * weight_bits_changed as f64
                 + i_cell.write_energy() * index_bits_changed as f64,
@@ -482,49 +534,7 @@ impl SramSparsePe {
         // Per-tile kernel selection: dense/low-bit tiles get the bit-plane
         // popcount path, everything else keeps the flat gather.
         self.packed = PackedKernel::pack_if_profitable(&self.kernel);
-        self.cost = self.analytic_matvec_cost(tile.rows, tile.m);
-    }
-
-    /// The closed-form per-matvec bill of §3.1's pipelined walk —
-    /// `weight_bits × M + 3` cycles with read/compute channel powers active
-    /// throughout plus the activation buffer traffic. Depends only on the
-    /// tile shape and configuration, never on the activations, which is
-    /// why it can be precomputed at load time.
-    fn analytic_matvec_cost(&self, tile_rows: usize, m: usize) -> MatvecCost {
-        let cycles = self.config.weight_bits as u64 * m as u64 + 3;
-        let latency = Latency::from_cycles(cycles, self.config.tech.clock_mhz());
-        let comp = &self.config.components;
-        let mut energy = self.leakage_over(latency);
-        let read_power = comp.decoder.power() + comp.bit_cell.power() + comp.index_decoder.power();
-        energy.add_read(read_power * latency);
-        let compute_power = comp.shift_acc.power() + comp.adder.power() + comp.global_relu.power();
-        energy.add_compute(compute_power * latency);
-        // Activation traffic through the global buffer.
-        let buffer_bits = (tile_rows as u64) * self.config.weight_bits as u64;
-        energy.add_read(comp.buffer_energy_per_bit * buffer_bits as f64);
-        MatvecCost {
-            cycles,
-            latency,
-            energy,
-        }
-    }
-
-    fn leakage_over(&self, elapsed: Latency) -> EnergyLedger {
-        let mut e = EnergyLedger::new();
-        // Weight cells (8T) and index cells (6T) leak at different rates.
-        let wcells =
-            (self.config.rows * self.config.column_groups) as u64 * self.config.weight_bits as u64;
-        let icells =
-            (self.config.rows * self.config.column_groups) as u64 * self.config.index_bits as u64;
-        e.add_leakage(
-            self.cell(SramCellKind::Compute8T)
-                .leakage_energy(wcells, elapsed),
-        );
-        e.add_leakage(
-            self.cell(SramCellKind::Index6T)
-                .leakage_energy(icells, elapsed),
-        );
-        e
+        self.cost = self.config.matvec_cost(tile.m, tile.rows);
     }
 }
 
@@ -553,9 +563,9 @@ impl SparsePe for SramSparsePe {
         let latency = Latency::from_cycles(cycles, self.config.tech.clock_mhz());
         let total_slots: u64 = self.segments.iter().map(|s| s.slots.len() as u64).sum();
         let bits_written = total_slots * (self.config.weight_bits + self.config.index_bits) as u64;
-        let mut energy = self.leakage_over(latency);
-        let w_cell = self.cell(SramCellKind::Compute8T);
-        let i_cell = self.cell(SramCellKind::Index6T);
+        let mut energy = self.config.leakage_over(latency);
+        let w_cell = self.config.cell(SramCellKind::Compute8T);
+        let i_cell = self.config.cell(SramCellKind::Index6T);
         energy.add_write(
             w_cell.write_energy() * (total_slots * self.config.weight_bits as u64) as f64
                 + i_cell.write_energy() * (total_slots * self.config.index_bits as u64) as f64,
@@ -975,7 +985,7 @@ mod tests {
         let cycles = pe.config.weight_bits as u64 * tile.m as u64 + 3;
         let latency = Latency::from_cycles(cycles, pe.config.tech.clock_mhz());
         let comp = &pe.config.components;
-        let mut energy = pe.leakage_over(latency);
+        let mut energy = pe.config.leakage_over(latency);
         let read_power = comp.decoder.power() + comp.bit_cell.power() + comp.index_decoder.power();
         energy.add_read(read_power * latency);
         let compute_power = comp.shift_acc.power() + comp.adder.power() + comp.global_relu.power();

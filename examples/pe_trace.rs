@@ -3,7 +3,6 @@
 //!
 //! Run with: `cargo run --release --example pe_trace`
 
-use pim_arch::core_sim::CoreSim;
 use pim_pe::{MramSparsePe, SparsePe, SramSparsePe, TransposedSramPe};
 use pim_sparse::gemm::{dense_matvec, masked_dense};
 use pim_sparse::prune::prune_magnitude;
@@ -69,16 +68,5 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("SRAM PE: {}", sram.stats());
     println!("MRAM PE: {}", mram.stats());
 
-    println!("\n== executed multi-PE core (scheduler + shared bus) ==");
-    let layer = Matrix::from_fn(512, 64, |r, c| {
-        (((r * 13 + c * 29) % 251) as i32 - 125) as i8
-    });
-    for max_pes in [1, 4, 16] {
-        let mut core = CoreSim::load_layer(&layer, pattern, max_pes)?;
-        let xs: Vec<i8> = (0..512).map(|i| (i % 180) as i8).collect();
-        let run = core.matvec(&xs)?;
-        println!("  {core}");
-        println!("    -> {run}");
-    }
     Ok(())
 }

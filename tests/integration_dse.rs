@@ -2,8 +2,9 @@
 //!
 //! The load-bearing contracts:
 //!
-//! 1. The analytic tile cost models the sweep evaluator prunes on are
-//!    **bit-exact** against the real `pim-pe` cycle-simulator ledgers —
+//! 1. The config-level tile costs the sweep evaluator prunes on
+//!    (`SramPeConfig::matvec_cost`, `MramPeConfig::matvec_cost`) are
+//!    exactly what the real `pim-pe` cycle-simulator ledgers advance by —
 //!    not merely close — across sampled configurations and patterns
 //!    (proptests). The PEs accumulate stats with field-wise `+=`, so the
 //!    pinned form is `baseline + analytic_cost == after`, which is the
@@ -13,11 +14,10 @@
 //!    `TUNED.json` round-trips exactly and whose runtime defaults leave
 //!    served logits bit-identical.
 
-use pim_arch::pe_model::{MramTileModel, SramTileModel};
 use pim_arch::ArchConfig;
 use pim_dse::{
-    dominates, pareto_frontier, run_sweep, AnalyticCost, DesignPoint, SweepOptions, SweepSpace,
-    Tier, TunedDoc, Workload,
+    dominates, evaluate, pareto_frontier, run_sweep, AnalyticCost, DesignPoint, SweepOptions,
+    SweepSpace, Tier, TunedDoc, Workload,
 };
 use pim_nn::models::{Backbone, BackboneConfig, RepNet, RepNetConfig};
 use pim_nn::tensor::Tensor;
@@ -60,7 +60,7 @@ fn arb_config() -> impl Strategy<Value = ArchConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The SRAM analytic matvec cost is the exact ledger delta of the
+    /// The SRAM config-level matvec cost is the exact ledger delta of the
     /// cycle simulator: cycles, busy time, and every energy channel.
     #[test]
     fn sram_analytic_cost_is_bit_exact_against_the_pe_ledger(
@@ -80,8 +80,7 @@ proptest! {
         let report = pe.matvec(&x).expect("loaded");
         let after = *pe.stats();
 
-        let model = SramTileModel::new(cfg.sram.clone());
-        let cost = model.matvec_cost(pattern.m(), rows);
+        let cost = cfg.sram.matvec_cost(pattern.m(), rows);
 
         // The per-op report itself matches the model, field for field.
         prop_assert_eq!(cost.cycles, report.cycles);
@@ -120,8 +119,7 @@ proptest! {
         let rows_used =
             (csc.slots_per_col().div_ceil(cfg.mram.pairs_per_row) * csc.cols()) as u64;
         let pairs = (csc.slots_per_col() * csc.cols()) as u64;
-        let model = MramTileModel::new(cfg.mram.clone());
-        let cost = model.matvec_cost(rows_used, pairs);
+        let cost = cfg.mram.matvec_cost(rows_used, pairs);
 
         prop_assert_eq!(cost.cycles, report.cycles);
         prop_assert_eq!(cost.latency, report.latency);
@@ -129,6 +127,97 @@ proptest! {
         prop_assert_eq!(after.cycles - baseline.cycles, cost.cycles);
         prop_assert_eq!(baseline.busy_time + cost.latency, after.busy_time);
         prop_assert_eq!(baseline.energy + cost.energy, after.energy);
+    }
+}
+
+#[test]
+fn evaluate_is_pinned_to_the_bit_across_the_dac24_neighborhood() {
+    // Exact f64 patterns of (latency_ns, energy_pj, area_mm2) for every
+    // point of the sweep space, in enumeration order.
+    let pinned: [(&str, u64, u64, u64); 12] = [
+        (
+            "p1of4_s128x8_w8_m1024x42_k8_w4t1b8",
+            0x412a21e400000000,
+            0x41d9558fbb912e1e,
+            0x4077060769ec2ce4,
+        ),
+        (
+            "p1of4_s128x8_w8_m1024x42_k8_w2t2b8",
+            0x412a21e400000000,
+            0x41d9558fbb912e1e,
+            0x4077060769ec2ce4,
+        ),
+        (
+            "p1of4_s128x8_w4_m1024x64_k4_w4t1b8",
+            0x412a003800000000,
+            0x41d23af203bce702,
+            0x407310438b04ab60,
+        ),
+        (
+            "p1of4_s128x8_w4_m1024x64_k4_w2t2b8",
+            0x412a003800000000,
+            0x41d23af203bce702,
+            0x407310438b04ab60,
+        ),
+        (
+            "p1of8_s128x8_w8_m1024x42_k8_w4t1b8",
+            0x412f8fc800000000,
+            0x41d579beae1367a2,
+            0x4070177a0f9096bc,
+        ),
+        (
+            "p1of8_s128x8_w8_m1024x42_k8_w2t2b8",
+            0x412f8fc800000000,
+            0x41d579beae1367a2,
+            0x4070177a0f9096bc,
+        ),
+        (
+            "p1of8_s128x8_w4_m1024x64_k4_w4t1b8",
+            0x4129cd8400000000,
+            0x41d07c1a72cb4c19,
+            0x406dd257d1782d38,
+        ),
+        (
+            "p1of8_s128x8_w4_m1024x64_k4_w2t2b8",
+            0x4129cd8400000000,
+            0x41d07c1a72cb4c19,
+            0x406dd257d1782d38,
+        ),
+        (
+            "p2of4_s128x8_w8_m1024x42_k8_w4t1b8",
+            0x412a313c00000000,
+            0x41e3f881d00b98c8,
+            0x4082b7b1800a7c5b,
+        ),
+        (
+            "p2of4_s128x8_w8_m1024x42_k8_w2t2b8",
+            0x412a313c00000000,
+            0x41e3f881d00b98c8,
+            0x4082b7b1800a7c5b,
+        ),
+        (
+            "p2of4_s128x8_w4_m1024x64_k4_w4t1b8",
+            0x412a218600000000,
+            0x41da8d108bbfedf7,
+            0x407d2ddb18548a9c,
+        ),
+        (
+            "p2of4_s128x8_w4_m1024x64_k4_w2t2b8",
+            0x412a218600000000,
+            0x41da8d108bbfedf7,
+            0x407d2ddb18548a9c,
+        ),
+    ];
+    let (configs, invalid) = SweepSpace::dac24_neighborhood().enumerate();
+    assert_eq!(invalid, 0);
+    assert_eq!(configs.len(), pinned.len());
+    let workload = Workload::resnet50_repnet();
+    for (config, (label, latency, energy, area)) in configs.iter().zip(pinned) {
+        assert_eq!(config.label(), label);
+        let cost = evaluate(config, &workload).expect("valid point evaluates");
+        assert_eq!(cost.latency_ns.to_bits(), latency, "{label} latency");
+        assert_eq!(cost.energy_pj.to_bits(), energy, "{label} energy");
+        assert_eq!(cost.area_mm2.to_bits(), area, "{label} area");
     }
 }
 

@@ -126,31 +126,79 @@ fn fig8_golden_values_are_stable() {
     assert!(close(fig.bar("1:4").unwrap(), 0.608), "{fig}");
 }
 
+/// Compares `got` against an `f64` bit pattern and names the mismatch.
+fn assert_bits(what: &str, got: f64, bits: u64) {
+    assert_eq!(
+        got.to_bits(),
+        bits,
+        "{what}: got {got:e}, pinned {:e}",
+        f64::from_bits(bits)
+    );
+}
+
+#[test]
+fn fig7_points_are_pinned_to_the_bit() {
+    // Exact f64 patterns of every Fig. 7 value. The tile costs behind them
+    // live in one place (pim-pe's config-level cost functions); a
+    // reordered add anywhere in the roll-up moves a low bit and fails
+    // here, where the 10% band above would not notice.
+    let pinned: [(&str, u64, u64, u64); 4] = [
+        (
+            "SRAM [29] (ISSCC'21)",
+            0x3ff0000000000000,
+            0x3fed44ed5e1ecef0,
+            0x3fb5d8950f098880,
+        ),
+        (
+            "MRAM [30] (ISCAS'23)",
+            0x3fc12f232622e4d0,
+            0x3fac36e470d15ad2,
+            0x3fc5f658ca01a97e,
+        ),
+        (
+            "Hybrid (1:4)",
+            0x3fb1e8ecfcb11848,
+            0x3fa0b07852bcd194,
+            0x3fb8eea550154503,
+        ),
+        (
+            "Hybrid (1:8)",
+            0x3fa90906e527f360,
+            0x3f994181ab9e6004,
+            0x3fb10ac43dc3ac92,
+        ),
+    ];
+    let fig = run_fig7().expect("profile maps");
+    assert_eq!(fig.points.len(), pinned.len());
+    for (p, (label, area, leakage, read)) in fig.points.iter().zip(pinned) {
+        assert_eq!(p.label, label);
+        assert_bits(&format!("{label} area"), p.area_norm, area);
+        assert_bits(&format!("{label} leakage"), p.leakage_power_norm, leakage);
+        assert_bits(&format!("{label} read"), p.read_power_norm, read);
+    }
+}
+
+#[test]
+fn fig8_bars_are_pinned_to_the_bit() {
+    let pinned: [(&str, u64); 6] = [
+        ("SRAM[29] finetune-all", 0x4024bfb62c151905),
+        ("MRAM[30] finetune-all", 0x405835c9739cab51),
+        ("SRAM[29] RepNet (dense)", 0x3ff5fee1a1c4d139),
+        ("MRAM[30] RepNet (dense)", 0x4029a78f870966ae),
+        ("Hybrid 1:4 sparse RepNet", 0x3fe377f40e189bf4),
+        ("Hybrid 1:8 sparse RepNet", 0x3ff0000000000000),
+    ];
+    let fig = run_fig8().expect("profile maps");
+    assert_eq!(fig.bars.len(), pinned.len());
+    for ((label, got), (want_label, bits)) in fig.bars.iter().zip(pinned) {
+        assert_eq!(label, want_label);
+        assert_bits(label, *got, bits);
+    }
+}
+
 #[test]
 fn write_fault_sweep_is_deterministic() {
     let a = write_fault_sweep(&[1e-3], &[1]);
     let b = write_fault_sweep(&[1e-3], &[1]);
     assert_eq!(a, b);
-}
-
-#[test]
-fn scheduler_wave_model_matches_mapper_ceiling_arithmetic() {
-    // The mapper's analytic per-layer latency uses ceil(rows/P)+3 per
-    // matvec; the SIMT scheduler's wave decomposition of the same uniform
-    // tile set must agree exactly.
-    use pim_arch::scheduler::{Schedule, TileOp};
-    for (total_rows, pes) in [(4096u64, 8usize), (1000, 16), (128, 128)] {
-        let rows_per_pe = total_rows.div_ceil(pes as u64);
-        let analytic = rows_per_pe + 3;
-        // One op per PE-sized row chunk, each costing its row count + fill.
-        let ops: Vec<TileOp> = (0..pes)
-            .map(|i| {
-                let start = i as u64 * rows_per_pe;
-                let rows = rows_per_pe.min(total_rows.saturating_sub(start));
-                TileOp::new(rows.max(1) + 3)
-            })
-            .collect();
-        let schedule = Schedule::build(&ops, pes);
-        assert_eq!(schedule.makespan_cycles(), analytic, "{total_rows}/{pes}");
-    }
 }
