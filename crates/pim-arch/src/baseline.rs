@@ -49,6 +49,9 @@ pub struct DenseMacro {
     read_power: Power,
     compute_power: Power,
     leakage_per_pe: Power,
+    /// Energy to sense one stored bit during a matvec (MRAM only; zero
+    /// for SRAM, whose read cost is in `read_power`).
+    sense_energy_per_bit: Energy,
     /// Energy to write one weight bit.
     write_energy_per_bit: Energy,
     /// Time to write one array row.
@@ -78,6 +81,7 @@ impl DenseMacro {
             read_power: comp.decoder.power() + comp.bit_cell.power() * (8.0 / 12.0),
             compute_power: comp.shift_acc.power() + comp.adder.power() + comp.global_relu.power(),
             leakage_per_pe: cell.leakage() * cells as f64,
+            sense_energy_per_bit: Energy::ZERO,
             write_energy_per_bit: cell.write_energy(),
             write_latency_per_row: Latency::from_ns(tech.cycle_ns()),
             node: tech,
@@ -100,6 +104,7 @@ impl DenseMacro {
             read_power: comp.row_decoder_driver.power() + comp.col_decoder_driver.power(),
             compute_power: comp.parallel_shift_acc.power() + comp.adder_tree.power(),
             leakage_per_pe: comp.total_power() * 0.005,
+            sense_energy_per_bit: mtj.read_energy,
             write_energy_per_bit: mtj.write_energy,
             write_latency_per_row: mtj.write_latency,
             node: tech,
@@ -146,6 +151,23 @@ impl DenseMacro {
         self.leakage_per_pe
     }
 
+    /// Peripheral read power while a matvec streams (decoders and
+    /// drivers; the SRAM macro's bit-cell read too).
+    pub(crate) fn read_power(&self) -> Power {
+        self.read_power
+    }
+
+    /// Compute power while a matvec streams (shift-accumulate and adder
+    /// tree).
+    pub(crate) fn compute_power(&self) -> Power {
+        self.compute_power
+    }
+
+    /// Energy to sense one stored bit during a matvec.
+    pub(crate) fn sense_energy_per_bit(&self) -> Energy {
+        self.sense_energy_per_bit
+    }
+
     /// Sustained dense-MAC throughput per PE (MACs per cycle).
     pub fn macs_per_cycle(&self) -> f64 {
         self.weights_per_pe as f64 / self.cycles_per_matvec as f64
@@ -161,7 +183,7 @@ impl DenseMacro {
         if self.tech == DenseTech::Mram {
             // Sensing every stored bit once per matvec.
             let bits = self.weights_per_pe * 8;
-            energy.add_read(MtjParams::dac24().read_energy * bits as f64);
+            energy.add_read(self.sense_energy_per_bit * bits as f64);
         }
         MatvecCost {
             cycles,

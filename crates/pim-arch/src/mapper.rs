@@ -26,7 +26,6 @@ use crate::baseline::DenseMacro;
 use crate::geometry::CoreGeometry;
 use crate::memory::MemoryModel;
 use crate::workload::ModelProfile;
-use pim_device::components::MramPeComponents;
 use pim_device::units::{edp, Area, Energy, Latency, Power};
 use pim_device::EnergyLedger;
 use pim_pe::{MramPeConfig, SramPeConfig};
@@ -253,7 +252,7 @@ impl Mapper {
         let mut cycles_total = 0u64;
         let mut active = EnergyLedger::new();
         for layer in &model.layers {
-            let row_tiles = layer.reduction.div_ceil(128);
+            let row_tiles = layer.reduction.div_ceil(m.rows_per_pe() as usize);
             let col_tiles = layer.outputs.div_ceil(m.cols_per_pe());
             let tiles = row_tiles * col_tiles;
             pe_count += tiles;
@@ -295,7 +294,6 @@ impl Mapper {
         let clock = m.node().clock_mhz();
         let budget_cycles = (budget.as_ns() / m.node().cycle_ns()).max(1.0);
         let total_macs = model.macs() as f64;
-        let comp = MramPeComponents::dac24();
         let mut pe_count = 0usize;
         let mut cycles_total = 0u64;
         let mut energy = EnergyLedger::new();
@@ -313,20 +311,11 @@ impl Mapper {
             cycles_total += layer_cycles;
             // Sensing: every stored bit once per matvec pass.
             let bits = layer.weights() * 8;
-            energy.add_read(
-                pim_device::mtj::MtjParams::dac24().read_energy
-                    * (bits * layer.passes as u64) as f64,
-            );
+            energy.add_read(m.sense_energy_per_bit() * (bits * layer.passes as u64) as f64);
             // Peripheral activity on every streaming PE.
             let busy = Latency::from_cycles(layer_cycles, clock);
-            energy.add_read(
-                (comp.row_decoder_driver.power() + comp.col_decoder_driver.power())
-                    * busy
-                    * pes as f64,
-            );
-            energy.add_compute(
-                (comp.parallel_shift_acc.power() + comp.adder_tree.power()) * busy * pes as f64,
-            );
+            energy.add_read(m.read_power() * busy * pes as f64);
+            energy.add_compute(m.compute_power() * busy * pes as f64);
         }
         let latency = Latency::from_cycles(cycles_total, clock);
         energy.add_read(self.memory.onchip_energy(Self::activation_bits(model)));

@@ -184,7 +184,7 @@ fn bench(c: &mut Criterion) {
     let indices: Vec<usize> = (0..8).collect();
     let (images, _) = task.test.batch(&indices);
     g.bench_function("pe_repnet_predict_batch8", |b| {
-        b.iter(|| black_box(compiled.predict(&mut model, &images).0))
+        b.iter(|| black_box(compiled.predict(&model, &images).0))
     });
     // Same predict with the pim-par pool fanned out over a 1/2/4/8
     // scaling sweep (`new` clamps to the host's cores, so the sweep is
@@ -192,11 +192,10 @@ fn bench(c: &mut Criterion) {
     // by construction (the ledger replay is serial either way); only
     // wall-clock differs.
     for threads in [1usize, 2, 4, 8] {
-        let mut model_par = model.clone();
         let mut par = compiled.clone();
         par.attach_pool(std::sync::Arc::new(WorkPool::new(threads)));
         g.bench_function(format!("pe_repnet_predict_batch8_par{threads}"), |b| {
-            b.iter(|| black_box(par.predict(&mut model_par, &images).0))
+            b.iter(|| black_box(par.predict(&model, &images).0))
         });
     }
     // The direct sparse conv in isolation: the first module's 3×3 stage
@@ -244,12 +243,11 @@ fn bench(c: &mut Criterion) {
         y2[0]
     });
     let direct_conv_ns = measure_ns_best(4, 15, || compiled.conv3_stage_forward(&feat).0);
-    let predict_ns = measure_ns_best(4, 10, || compiled.predict(&mut model, &images).0);
+    let predict_ns = measure_ns_best(4, 10, || compiled.predict(&model, &images).0);
     let predict_par = |threads: usize| {
-        let mut model_par = model.clone();
         let mut par = compiled.clone();
         par.attach_pool(std::sync::Arc::new(WorkPool::new(threads)));
-        measure_ns_best(4, 10, || par.predict(&mut model_par, &images).0)
+        measure_ns_best(4, 10, || par.predict(&model, &images).0)
     };
     let predict_par1_ns = predict_par(1);
     let predict_par2_ns = predict_par(2);

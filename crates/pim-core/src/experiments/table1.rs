@@ -19,9 +19,10 @@
 use crate::system::{HybridSystem, SystemConfig};
 use pim_data::{downstream_suite, SyntheticSpec, Task};
 use pim_nn::layers::predictions;
-use pim_nn::models::{Backbone, BackboneConfig, PretrainNet, RepNet};
+use pim_nn::models::{Backbone, BackboneConfig, BackboneScratch, PretrainNet, RepNet};
 use pim_nn::tensor::Tensor;
 use pim_nn::train::{fit, train_step_from_taps, Dataset, FitConfig, Model, Sgd};
+use pim_par::WorkPool;
 use pim_sparse::NmPattern;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -208,14 +209,17 @@ fn gather(t: &Tensor, indices: &[usize]) -> Tensor {
 /// Trains the rep path from cached backbone activations — numerically
 /// identical to full-forward training because the backbone is frozen.
 fn train_rep_cached(model: &mut RepNet, data: &Dataset, fit_cfg: &FitConfig) {
-    // Precompute taps and features over the whole training set.
+    // Precompute taps and features over the whole training set, through
+    // the backbone frozen once.
     let n = data.len();
+    let backbone = model.backbone().freeze();
+    let mut scratch = BackboneScratch::default();
     let mut tap_chunks: Vec<Vec<Tensor>> = Vec::new();
     let mut feat_chunks: Vec<Tensor> = Vec::new();
     let all: Vec<usize> = (0..n).collect();
     for chunk in all.chunks(64) {
         let (x, _) = data.batch(chunk);
-        let out = model.backbone_outputs(&x);
+        let out = backbone.forward(&x, &mut scratch, WorkPool::serial_ref());
         tap_chunks.push(out.taps);
         feat_chunks.push(out.features);
     }

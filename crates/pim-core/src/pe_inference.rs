@@ -28,16 +28,6 @@ use pim_sparse::{CscMatrix, Matrix, NmPattern};
 use std::fmt;
 use std::sync::Arc;
 
-/// Aggregate execution statistics of one PE-executed forward pass.
-///
-/// This is the full [`pim_pe::PeStats`] ledger — cycles, busy time,
-/// itemized energy, and MAC counts folded with
-/// [`PeStats::record_matvec`] exactly as the PEs themselves account it —
-/// so callers (the verifier, the serving runtime) no longer recompute
-/// cycle/energy totals ad hoc. Tiles run in parallel on real hardware;
-/// these are the summed per-tile figures.
-pub type PeRunStats = PeStats;
-
 /// One loaded PE column tile of a layer.
 #[derive(Debug, Clone)]
 pub(crate) struct PeTile {
@@ -77,9 +67,6 @@ pub struct PeScratch {
     pub(crate) backbone: BackboneScratch,
     pub(crate) layer: LayerScratch,
     clf_rows: Vec<f32>,
-    /// Matvecs per tile of each PE layer in the last run, in layer order
-    /// (module-major proj, conv3, conv1, then the classifier).
-    pub(crate) layer_rows: Vec<usize>,
 }
 
 impl Clone for PeScratch {
@@ -327,21 +314,11 @@ impl PeLayer {
 
     /// Folds `batch` matvecs of every tile into the run ledger
     /// input-major, tile-minor — the sequential-execution order.
-    pub(crate) fn replay_costs(&self, batch: usize, stats: &mut PeRunStats) {
+    pub(crate) fn replay_costs(&self, batch: usize, stats: &mut PeStats) {
         for _ in 0..batch {
             for tile in &self.tiles {
                 stats.record_matvec_cost(&tile.cost, tile.nnz);
             }
-        }
-    }
-
-    /// Folds `count` matvecs into each tile's own cumulative ledger, in
-    /// the order the PE's fused batched call accounts them.
-    fn record_tile_ledgers(&mut self, count: usize) {
-        for tile in &mut self.tiles {
-            tile.pe
-                .record_matvecs(count)
-                .expect("tile loaded at compile time");
         }
     }
 
@@ -375,7 +352,7 @@ impl PeLayer {
     }
 
     /// Cumulative statistics of this layer's tiles, as the PEs account
-    /// them (includes the compile-time tile load).
+    /// them: the compile-time load and every refresh.
     pub(crate) fn cumulative_stats(&self) -> PeStats {
         self.tiles.iter().map(|t| *t.pe.stats()).sum()
     }
@@ -515,7 +492,7 @@ impl PeLayer {
         &self,
         input: &Tensor,
         scratch: &mut LayerScratch,
-        stats: &mut PeRunStats,
+        stats: &mut PeStats,
         pool: &WorkPool,
     ) -> Tensor {
         let s = input.shape();
@@ -737,7 +714,7 @@ pub(crate) trait BranchLayer {
         &self,
         input: &Tensor,
         scratch: &mut LayerScratch,
-        stats: &mut PeRunStats,
+        stats: &mut PeStats,
         pool: &WorkPool,
     ) -> Tensor;
     fn forward_batch(
@@ -746,7 +723,7 @@ pub(crate) trait BranchLayer {
         batch: usize,
         out: &mut [f32],
         scratch: &mut LayerScratch,
-        stats: &mut PeRunStats,
+        stats: &mut PeStats,
         pool: &WorkPool,
     );
 }
@@ -775,7 +752,7 @@ impl BranchLayer for PeLayer {
         &self,
         input: &Tensor,
         scratch: &mut LayerScratch,
-        stats: &mut PeRunStats,
+        stats: &mut PeStats,
         pool: &WorkPool,
     ) -> Tensor {
         let s = input.shape();
@@ -805,7 +782,7 @@ impl BranchLayer for PeLayer {
         batch: usize,
         out: &mut [f32],
         scratch: &mut LayerScratch,
-        stats: &mut PeRunStats,
+        stats: &mut PeStats,
         pool: &WorkPool,
     ) {
         self.forward_batch_compute(xs, batch, out, scratch, pool);
@@ -816,8 +793,7 @@ impl BranchLayer for PeLayer {
 /// The learnable branch over the frozen backbone's outputs: every MAC on
 /// the compiled layers, elementwise glue (mix, ReLU, pooling) in the
 /// digital periphery. Returns logits and the run ledger, folded in the
-/// sequential order whatever the layers' macro topology, and leaves each
-/// layer's matvec count per tile in `scratch.layer_rows`.
+/// sequential order whatever the layers' macro topology.
 pub(crate) fn branch_forward<L: BranchLayer>(
     modules: &[PeModule<L>],
     classifier: &L,
@@ -825,22 +801,16 @@ pub(crate) fn branch_forward<L: BranchLayer>(
     out: &BackboneOutput,
     scratch: &mut PeScratch,
     pool: &WorkPool,
-) -> (Tensor, PeRunStats) {
-    let mut stats = PeRunStats::default();
+) -> (Tensor, PeStats) {
+    let mut stats = PeStats::default();
     let batch = out.features.shape()[0];
     let PeScratch {
-        layer,
-        clf_rows,
-        layer_rows,
-        ..
+        layer, clf_rows, ..
     } = scratch;
-    layer_rows.clear();
-    let positions = |t: &Tensor| t.len() / t.shape()[1];
     let mut rep: Option<Tensor> = None;
     for (module, tap) in modules.iter().zip(&out.taps) {
         // Activation connector on PE.
         let projected = module.proj.conv_forward(tap, layer, &mut stats, pool);
-        layer_rows.push(positions(&projected));
         // Mix with the (pooled) carried state; digital periphery.
         let mut a = match (&rep, module.pools_prev) {
             (Some(r), true) => projected.add(&avg_pool2(r)).expect("rep shapes align"),
@@ -849,10 +819,8 @@ pub(crate) fn branch_forward<L: BranchLayer>(
         };
         relu_in_place(&mut a); // global ReLU, no fresh tensor
         let mut h = module.conv3.conv_forward(&a, layer, &mut stats, pool);
-        layer_rows.push(positions(&h));
         relu_in_place(&mut h);
         let mut o = module.conv1.conv_forward(&h, layer, &mut stats, pool);
-        layer_rows.push(positions(&o));
         relu_in_place(&mut o);
         rep = Some(o);
     }
@@ -879,20 +847,20 @@ pub(crate) fn branch_forward<L: BranchLayer>(
         &mut stats,
         pool,
     );
-    layer_rows.push(batch);
     (logits, stats)
 }
 
 /// The Rep-Net learnable branch compiled onto SRAM sparse PEs.
 ///
-/// [`infer`](Self::infer) runs on `&self` with caller-owned scratch and a
-/// [`FrozenBackbone`], so one compiled branch can sit behind an `Arc`
-/// and serve any number of threads; it returns the run ledger and leaves
-/// the tiles' own ledgers alone. [`predict`](Self::predict) is the
-/// self-contained variant for a branch that keeps cumulative tile
-/// ledgers (the learner's resident branch): it runs the model's own
-/// backbone on the attached pool and scratch, folds the same costs into
-/// the tiles' ledgers, and mirrors the run into attached telemetry.
+/// Inference has one path, [`infer`](Self::infer): it runs on `&self`
+/// with caller-owned scratch and a [`FrozenBackbone`], so one compiled
+/// branch can sit behind an `Arc` and serve any number of threads, and
+/// it returns the run's PE ledger. A caller that wants a total sums run
+/// ledgers. [`predict`](Self::predict) is `infer` on a freshly frozen
+/// backbone with the branch's own scratch and pool, plus a record into
+/// attached telemetry. The tiles' own ledgers
+/// ([`cumulative_stats`](Self::cumulative_stats)) hold only what belongs
+/// to a tile: its compile-time load and every [`refresh`](Self::refresh).
 ///
 /// # Example
 ///
@@ -900,13 +868,13 @@ pub(crate) fn branch_forward<L: BranchLayer>(
 /// use pim_core::pe_inference::PeRepNet;
 /// # use pim_nn::models::{Backbone, BackboneConfig, RepNet, RepNetConfig};
 /// # use pim_nn::tensor::Tensor;
-/// let mut model = RepNet::new(
+/// let model = RepNet::new(
 ///     Backbone::new(BackboneConfig::tiny()),
 ///     RepNetConfig { rep_channels: 4, num_classes: 5, seed: 2 },
 /// );
 /// let mut compiled = PeRepNet::compile(&model)?;
 /// let x = Tensor::ones(&[1, 1, 8, 8]);
-/// let (logits, stats) = compiled.predict(&mut model, &x);
+/// let (logits, stats) = compiled.predict(&model, &x);
 /// assert_eq!(logits.shape(), &[1, 5]);
 /// assert!(stats.matvecs > 0);
 /// # Ok::<(), pim_pe::PeError>(())
@@ -990,12 +958,12 @@ impl PeRepNet {
     }
 
     /// Attaches a shared [`WorkPool`]: from now on
-    /// [`predict`](PeRepNet::predict) and
-    /// [`pending_write_bits`](PeRepNet::pending_write_bits) fan their
-    /// tile/row grids out over it. Outputs and ledgers are bit-identical
-    /// at every thread count (see the module docs of `pim_par`); a
-    /// 1-thread pool **is** the serial path. Clones made after attachment
-    /// share the pool.
+    /// [`predict`](PeRepNet::predict) (backbone convolutions and PE tile
+    /// grids) and [`pending_write_bits`](PeRepNet::pending_write_bits)
+    /// fan out over it. Outputs and ledgers are bit-identical at every
+    /// thread count (see the module docs of `pim_par`); a 1-thread pool
+    /// **is** the serial path. Clones made after attachment share the
+    /// pool.
     pub fn attach_pool(&mut self, pool: Arc<WorkPool>) {
         self.pool = pool;
     }
@@ -1130,8 +1098,8 @@ impl PeRepNet {
     /// learnable MAC on the PEs. Returns logits and the run ledger; the
     /// tiles' own ledgers and any attached telemetry are left alone, so
     /// any number of threads may share one branch, each with its own
-    /// `scratch`. Bit-identical to [`predict`](Self::predict) at every
-    /// `pool` width.
+    /// `scratch`. Outputs and ledger are bit-identical at every `pool`
+    /// width.
     ///
     /// # Panics
     ///
@@ -1142,7 +1110,7 @@ impl PeRepNet {
         input: &Tensor,
         scratch: &mut PeScratch,
         pool: &WorkPool,
-    ) -> (Tensor, PeRunStats) {
+    ) -> (Tensor, PeStats) {
         let out = backbone.forward(input, &mut scratch.backbone, pool);
         branch_forward(
             &self.modules,
@@ -1154,34 +1122,34 @@ impl PeRepNet {
         )
     }
 
-    /// Runs the compiled branch on `model`'s own backbone over the
-    /// attached pool: the same computation as [`infer`](Self::infer),
-    /// after which the run's matvecs are folded into every tile's
-    /// cumulative ledger and the run ledger into attached telemetry.
-    /// Returns logits and the run ledger.
+    /// [`infer`](Self::infer) on `model`'s backbone, frozen for this
+    /// call, with the branch's own scratch and attached pool; the run
+    /// ledger is also recorded into attached telemetry. Returns logits
+    /// and the run ledger. Freezing costs what the eval forward of each
+    /// convolution always paid: one reduction-major weight copy.
     ///
     /// # Panics
     ///
     /// Panics if `model` is not the model this branch was compiled from
     /// (shape mismatches).
-    pub fn predict(&mut self, model: &mut RepNet, input: &Tensor) -> (Tensor, PeRunStats) {
-        let pool = Arc::clone(&self.pool);
-        // The frozen backbone shares the branch's pool: its conv rows fan
-        // out bit-identically to serial.
-        model.attach_pool(&pool);
-        let out = model.backbone_outputs(input);
+    pub fn predict(&mut self, model: &RepNet, input: &Tensor) -> (Tensor, PeStats) {
+        self.predict_frozen(&model.backbone().freeze(), input)
+    }
+
+    /// [`predict`](Self::predict) on an already frozen backbone: the
+    /// branch's own scratch and pool, and a record into attached
+    /// telemetry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `backbone` does not match the compiled branch's shapes.
+    pub fn predict_frozen(
+        &mut self,
+        backbone: &FrozenBackbone,
+        input: &Tensor,
+    ) -> (Tensor, PeStats) {
         let mut scratch = std::mem::take(&mut self.scratch);
-        let (logits, stats) = branch_forward(
-            &self.modules,
-            &self.classifier,
-            self.feature_width,
-            &out,
-            &mut scratch,
-            &pool,
-        );
-        for (layer, &rows) in self.layers_mut().zip(&scratch.layer_rows) {
-            layer.record_tile_ledgers(rows);
-        }
+        let (logits, stats) = self.infer(backbone, input, &mut scratch, &self.pool);
         self.scratch = scratch;
         if let Some(t) = &self.telemetry {
             t.record(&stats);
@@ -1190,7 +1158,7 @@ impl PeRepNet {
     }
 
     /// Convenience: classify a batch on the PEs.
-    pub fn classify(&mut self, model: &mut RepNet, input: &Tensor) -> (Vec<usize>, PeRunStats) {
+    pub fn classify(&mut self, model: &RepNet, input: &Tensor) -> (Vec<usize>, PeStats) {
         let (logits, stats) = self.predict(model, input);
         (predictions(&logits), stats)
     }
@@ -1202,8 +1170,8 @@ impl PeRepNet {
     /// rep width. Bench/diagnostic hook: this is the kernel
     /// `BENCH_kernels.json` tracks as `direct_conv_*`; the full pipeline
     /// is [`predict`](Self::predict). Tile ledgers are left alone.
-    pub fn conv3_stage_forward(&mut self, features: &Tensor) -> (Tensor, PeRunStats) {
-        let mut stats = PeRunStats::default();
+    pub fn conv3_stage_forward(&mut self, features: &Tensor) -> (Tensor, PeStats) {
+        let mut stats = PeStats::default();
         let module = self.modules.first().expect("compiled branch is non-empty");
         let out =
             module
@@ -1221,13 +1189,6 @@ impl PeRepNet {
             .chain(std::iter::once(&self.classifier))
     }
 
-    fn layers_mut(&mut self) -> impl Iterator<Item = &mut PeLayer> {
-        self.modules
-            .iter_mut()
-            .flat_map(|m| [&mut m.proj, &mut m.conv3, &mut m.conv1])
-            .chain(std::iter::once(&mut self.classifier))
-    }
-
     /// Number of PE tiles loaded across the branch.
     pub fn tile_count(&self) -> usize {
         self.layers().map(|l| l.tiles.len()).sum()
@@ -1239,16 +1200,17 @@ impl PeRepNet {
     }
 
     /// Per-layer cumulative statistics, straight from each tile's own
-    /// [`PeStats`] ledger (so cycle/energy counters are never recomputed
-    /// outside the PEs). Includes the compile-time tile loads and every
-    /// [`predict`](Self::predict) run.
+    /// [`PeStats`] ledger: the costs that belong to a tile, its
+    /// compile-time load and every [`refresh`](Self::refresh) rewrite.
+    /// Inference bills no tile; each run returns its own ledger.
     pub fn layer_stats(&self) -> Vec<(String, PeStats)> {
         self.layers()
             .map(|l| (l.name.clone(), l.cumulative_stats()))
             .collect()
     }
 
-    /// Cumulative statistics over the whole branch (loads + matvecs).
+    /// Cumulative statistics over the whole branch: tile loads and
+    /// refresh rewrites.
     pub fn cumulative_stats(&self) -> PeStats {
         self.layer_stats().into_iter().map(|(_, s)| s).sum()
     }
@@ -1363,7 +1325,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pe_executed_branch_agrees_with_the_quantized_nn() {
-        let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
+        let (model, task) = trained_model(Some(NmPattern::one_of_four()));
         let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
 
         // Reference: the NN model under fake-quant evaluation.
@@ -1373,7 +1335,7 @@ pub(crate) mod tests {
 
         let indices: Vec<usize> = (0..task.test.len()).collect();
         let (x, _) = task.test.batch(&indices);
-        let (pe_preds, stats) = compiled.classify(&mut model, &x);
+        let (pe_preds, stats) = compiled.classify(&model, &x);
         let nn_logits = quantized.predict(&x, false);
         let nn_preds = predictions(&nn_logits);
         let agree = pe_preds
@@ -1392,11 +1354,11 @@ pub(crate) mod tests {
 
     #[test]
     fn pe_executed_branch_retains_task_accuracy() {
-        let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
+        let (model, task) = trained_model(Some(NmPattern::one_of_four()));
         let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let indices: Vec<usize> = (0..task.test.len()).collect();
         let (x, labels) = task.test.batch(&indices);
-        let (preds, _) = compiled.classify(&mut model, &x);
+        let (preds, _) = compiled.classify(&model, &x);
         let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
         let acc = correct as f64 / labels.len() as f64;
         // Must stay meaningfully above 10-class chance.
@@ -1413,20 +1375,23 @@ pub(crate) mod tests {
 
     #[test]
     fn run_stats_carry_energy_and_latency() {
-        let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
+        let (model, task) = trained_model(Some(NmPattern::one_of_four()));
         let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
+        let compiled_ledger = compiled.cumulative_stats();
         let (x, _) = task.test.batch(&[0]);
-        let (_, stats) = compiled.predict(&mut model, &x);
+        let (_, stats) = compiled.predict(&model, &x);
         assert!(stats.total_energy().as_pj() > 0.0);
         assert!(stats.busy_time.as_ns() > 0.0);
         assert!(stats.macs > 0);
         assert_eq!(stats.loads, 0, "predict never reloads tiles");
-        // Per-layer ledgers cover compile-time loads plus this run.
+        // Per-layer ledgers hold the compile-time loads; the run is billed
+        // to the ledger `predict` returns, not to the tiles.
         let layers = compiled.layer_stats();
         assert_eq!(layers.len(), 3 * 2 + 1);
         let total = compiled.cumulative_stats();
-        assert!(total.loads as usize >= compiled.tile_count());
-        assert!(total.matvecs >= stats.matvecs);
+        assert_eq!(total.loads as usize, compiled.tile_count());
+        assert_eq!(total.matvecs, 0);
+        assert_eq!(ledger_bits(&total), ledger_bits(&compiled_ledger));
     }
 
     #[test]
@@ -1450,11 +1415,11 @@ pub(crate) mod tests {
         assert_eq!(delta.loads as usize, compiled.tile_count());
         assert!(delta.write_bits > 0, "training must have moved some codes");
 
-        let mut cold_model = model.clone();
+        let cold_model = model.clone();
         let mut cold = PeRepNet::compile(&cold_model).expect("fits PEs");
         let (x, _) = task.test.batch(&[0, 1, 2, 3]);
-        let (a, _) = compiled.predict(&mut model, &x);
-        let (b, _) = cold.predict(&mut cold_model, &x);
+        let (a, _) = compiled.predict(&model, &x);
+        let (b, _) = cold.predict(&cold_model, &x);
         assert_eq!(a.as_slice(), b.as_slice());
 
         // Differential write bill is bounded by a full reprogram.
@@ -1474,61 +1439,71 @@ pub(crate) mod tests {
 
     #[test]
     fn cloned_branch_replays_bit_exactly() {
-        let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
+        let (model, task) = trained_model(Some(NmPattern::one_of_four()));
         let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let mut replica = compiled.clone();
-        let mut model2 = model.clone();
         let (x, _) = task.test.batch(&[0, 1, 2]);
-        let (a, _) = compiled.predict(&mut model, &x);
-        let (b, _) = replica.predict(&mut model2, &x);
+        let (a, _) = compiled.predict(&model, &x);
+        let (b, _) = replica.predict(&model, &x);
         assert_eq!(a.as_slice(), b.as_slice());
     }
 
     #[test]
     fn parallel_pool_is_bit_exact_with_serial() {
-        let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
+        let (model, task) = trained_model(Some(NmPattern::one_of_four()));
         let mut serial = PeRepNet::compile(&model).expect("fits PEs");
-        let mut model_par = model.clone();
         let mut parallel = serial.clone();
         parallel.attach_pool(Arc::new(WorkPool::with_forced_threads(4)));
         assert_eq!(parallel.pool().threads(), 4);
 
         let (x, _) = task.test.batch(&[0, 1, 2, 3, 4, 5]);
-        let (logits_s, stats_s) = serial.predict(&mut model, &x);
-        let (logits_p, stats_p) = parallel.predict(&mut model_par, &x);
+        let (logits_s, stats_s) = serial.predict(&model, &x);
+        let (logits_p, stats_p) = parallel.predict(&model, &x);
         // Bit-level equality on outputs AND on the full f64 run ledger.
-        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
-        assert_eq!(bits(&logits_s), bits(&logits_p));
-        assert_eq!(stats_s, stats_p, "run ledgers agree bit-exactly");
+        assert_eq!(tensor_bits(&logits_s), tensor_bits(&logits_p));
+        assert_eq!(ledger_bits(&stats_s), ledger_bits(&stats_p));
         assert_eq!(
-            serial.cumulative_stats(),
-            parallel.cumulative_stats(),
-            "per-tile cumulative ledgers agree bit-exactly"
+            ledger_bits(&serial.cumulative_stats()),
+            ledger_bits(&parallel.cumulative_stats()),
+            "per-tile ledgers agree bit-exactly"
         );
     }
 
     #[test]
     fn shared_infer_matches_predict_and_leaves_tile_ledgers_alone() {
-        let (mut model, task) = trained_model(Some(NmPattern::one_of_four()));
+        let (model, task) = trained_model(Some(NmPattern::one_of_four()));
         let backbone = model.backbone().freeze();
-        let mut resident = PeRepNet::compile(&model).expect("fits PEs");
-        let shared = resident.clone();
-        let compiled_ledger = shared.cumulative_stats();
+        let shared = PeRepNet::compile(&model).expect("fits PEs");
+        let compiled_ledger = ledger_bits(&shared.cumulative_stats());
         let (x, _) = task.test.batch(&[0, 1, 2, 3, 4]);
-        let (want, want_stats) = resident.predict(&mut model, &x);
-        let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
         let mut scratch = PeScratch::default();
+        let (want, want_stats) = shared.infer(&backbone, &x, &mut scratch, &WorkPool::serial());
+        let (want, want_stats) = (tensor_bits(&want), ledger_bits(&want_stats));
         for threads in [1, 4] {
-            let pool = WorkPool::with_forced_threads(threads);
+            let pool = Arc::new(WorkPool::with_forced_threads(threads));
             let (logits, stats) = shared.infer(&backbone, &x, &mut scratch, &pool);
-            assert_eq!(bits(&logits), bits(&want), "{threads} threads");
-            assert_eq!(stats, want_stats, "run ledger, {threads} threads");
+            assert_eq!(tensor_bits(&logits), want, "infer, {threads} threads");
+            assert_eq!(ledger_bits(&stats), want_stats, "infer, {threads} threads");
+            // `predict` is `infer` on the model's backbone frozen for the
+            // call; however many calls, the tiles keep only their load.
+            let mut resident = shared.clone();
+            resident.attach_pool(pool);
+            for call in 1..=2 {
+                let (logits, stats) = resident.predict(&model, &x);
+                assert_eq!(
+                    tensor_bits(&logits),
+                    want,
+                    "predict {call}, {threads} threads"
+                );
+                assert_eq!(
+                    ledger_bits(&stats),
+                    want_stats,
+                    "predict {call}, {threads} threads"
+                );
+                assert_eq!(ledger_bits(&resident.cumulative_stats()), compiled_ledger);
+            }
         }
-        assert_eq!(shared.cumulative_stats(), compiled_ledger);
-        // `predict` folded exactly its run's matvecs into the tiles.
-        let folded = resident.cumulative_stats();
-        assert_eq!(folded.matvecs, compiled_ledger.matvecs + want_stats.matvecs);
-        assert_eq!(folded.macs, compiled_ledger.macs + want_stats.macs);
+        assert_eq!(ledger_bits(&shared.cumulative_stats()), compiled_ledger);
     }
 
     #[test]
@@ -1561,12 +1536,12 @@ pub(crate) mod tests {
 
     #[test]
     fn run_stats_scale_with_batch() {
-        let (mut model, task) = trained_model(Some(NmPattern::one_of_eight()));
+        let (model, task) = trained_model(Some(NmPattern::one_of_eight()));
         let mut compiled = PeRepNet::compile(&model).expect("fits PEs");
         let (x1, _) = task.test.batch(&[0]);
         let (x4, _) = task.test.batch(&[0, 1, 2, 3]);
-        let (_, s1) = compiled.predict(&mut model, &x1);
-        let (_, s4) = compiled.predict(&mut model, &x4);
+        let (_, s1) = compiled.predict(&model, &x1);
+        let (_, s4) = compiled.predict(&model, &x4);
         assert!((3 * s1.matvecs..=5 * s1.matvecs).contains(&s4.matvecs));
     }
 
@@ -1602,6 +1577,24 @@ pub(crate) mod tests {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Every field of a ledger, the f64 ones by bit pattern.
+    fn ledger_bits(s: &PeStats) -> [u64; 12] {
+        [
+            s.cycles,
+            s.busy_time.as_ns().to_bits(),
+            s.energy.leakage.as_pj().to_bits(),
+            s.energy.read.as_pj().to_bits(),
+            s.energy.write.as_pj().to_bits(),
+            s.energy.compute.as_pj().to_bits(),
+            s.loads,
+            s.matvecs,
+            s.macs,
+            s.write_bits,
+            s.write_retries,
+            s.write_faults,
+        ]
+    }
+
     #[test]
     fn direct_conv_matches_the_im2col_oracle_bitwise() {
         // Strides/paddings that exercise zero-padded borders, and both a
@@ -1611,8 +1604,8 @@ pub(crate) mod tests {
             let direct = conv_layer(3, 8, 3, stride, padding, NmPattern::one_of_four(), 7);
             let oracle = direct.clone();
             let x = probe_input(2, 3, 8, 8, 11);
-            let mut stats_d = PeRunStats::new();
-            let mut stats_o = PeRunStats::new();
+            let mut stats_d = PeStats::new();
+            let mut stats_o = PeStats::new();
             let out_d = direct.conv_forward(&x, &mut LayerScratch::default(), &mut stats_d, &pool);
             let out_o =
                 oracle.conv_forward_im2col(&x, &mut LayerScratch::default(), &mut stats_o, &pool);
@@ -1634,8 +1627,8 @@ pub(crate) mod tests {
         let a = conv_layer(2, 6, 3, 1, 1, NmPattern::two_of_four(), 3);
         let b = a.clone();
         let x = probe_input(3, 2, 6, 6, 5);
-        let mut stats_a = PeRunStats::new();
-        let mut stats_b = PeRunStats::new();
+        let mut stats_a = PeStats::new();
+        let mut stats_b = PeStats::new();
         let out_a = a.conv_forward(&x, &mut LayerScratch::default(), &mut stats_a, &serial);
         let out_b = b.conv_forward(&x, &mut LayerScratch::default(), &mut stats_b, &wide);
         assert_eq!(tensor_bits(&out_a), tensor_bits(&out_b));
@@ -1670,8 +1663,8 @@ pub(crate) mod tests {
             let direct = conv_layer(cin, cout, k, stride, padding, pattern, seed);
             let oracle = direct.clone();
             let x = probe_input(n, cin, hw, hw, seed + 1);
-            let mut stats_d = PeRunStats::new();
-            let mut stats_o = PeRunStats::new();
+            let mut stats_d = PeStats::new();
+            let mut stats_o = PeStats::new();
             let out_d = direct.conv_forward(&x, &mut LayerScratch::default(), &mut stats_d, &pool);
             let out_o = oracle.conv_forward_im2col(&x, &mut LayerScratch::default(), &mut stats_o, &pool);
             prop_assert_eq!(tensor_bits(&out_d), tensor_bits(&out_o));

@@ -25,7 +25,7 @@
 
 use crate::pe_inference::{
     branch_forward, conv_out_dims, BranchLayer, LayerScratch, PeLayer, PeModule, PeRepNet,
-    PeRunStats, PeScratch,
+    PeScratch,
 };
 use pim_nn::models::FrozenBackbone;
 use pim_nn::tensor::Tensor;
@@ -58,7 +58,7 @@ impl ShardedLayer {
     /// canonical **global** tile order: original tile `t` lives at part
     /// `t % G`, local slot `t / G` (the round-robin deal inverted), so the
     /// interleaved walk visits costs exactly as the unsharded layer does.
-    fn replay_costs(&self, batch: usize, stats: &mut PeRunStats) {
+    fn replay_costs(&self, batch: usize, stats: &mut PeStats) {
         let groups = self.parts.len();
         let total = self.tile_count();
         for _ in 0..batch {
@@ -69,7 +69,8 @@ impl ShardedLayer {
         }
     }
 
-    /// Cumulative per-group tile ledgers (compile loads + matvecs).
+    /// Cumulative per-group tile ledgers (compile-time loads and
+    /// refreshes).
     fn group_stats(&self) -> Vec<PeStats> {
         self.parts.iter().map(|p| p.cumulative_stats()).collect()
     }
@@ -93,7 +94,7 @@ impl BranchLayer for ShardedLayer {
         &self,
         input: &Tensor,
         scratch: &mut LayerScratch,
-        stats: &mut PeRunStats,
+        stats: &mut PeStats,
         pool: &WorkPool,
     ) -> Tensor {
         let s = input.shape();
@@ -117,7 +118,7 @@ impl BranchLayer for ShardedLayer {
         batch: usize,
         out: &mut [f32],
         scratch: &mut LayerScratch,
-        stats: &mut PeRunStats,
+        stats: &mut PeStats,
         pool: &WorkPool,
     ) {
         for part in &self.parts {
@@ -253,7 +254,7 @@ impl ShardedPeRepNet {
         input: &Tensor,
         scratch: &mut PeScratch,
         pool: &WorkPool,
-    ) -> (Tensor, PeRunStats) {
+    ) -> (Tensor, PeStats) {
         let out = backbone.forward(input, &mut scratch.backbone, pool);
         branch_forward(
             &self.modules,
@@ -316,8 +317,8 @@ mod tests {
                 let layer = conv_layer(3, 8, 3, 1, 1, NmPattern::one_of_four(), 13);
                 let sharded = ShardedLayer::split(&layer, groups);
                 let mut scratch = LayerScratch::default();
-                let mut stats_s = PeRunStats::new();
-                let mut stats_o = PeRunStats::new();
+                let mut stats_s = PeStats::new();
+                let mut stats_o = PeStats::new();
                 let out_s = sharded.conv_forward(&x, &mut scratch, &mut stats_s, &pool);
                 let out_o = layer.conv_forward_im2col(&x, &mut scratch, &mut stats_o, &pool);
                 let bits = |t: &Tensor| {
@@ -350,10 +351,10 @@ mod tests {
 
     #[test]
     fn sharded_predict_is_bit_exact_with_single_macro() {
-        let (mut model, mut branch) = compiled_tiny();
+        let (model, mut branch) = compiled_tiny();
         let backbone = model.backbone().freeze();
         let x = probe(4);
-        let (want_logits, want_stats) = branch.predict(&mut model, &x);
+        let (want_logits, want_stats) = branch.predict(&model, &x);
         let pool = WorkPool::serial();
         let mut scratch = PeScratch::default();
         for groups in [1, 2, 3, 5] {
@@ -410,8 +411,7 @@ mod tests {
 
     #[test]
     fn group_stats_sum_to_cumulative() {
-        let (mut model, mut branch) = compiled_tiny();
-        let _ = branch.predict(&mut model, &probe(1));
+        let (_, branch) = compiled_tiny();
         let sharded = ShardedPeRepNet::shard(&branch, 2);
         let groups = sharded.group_stats();
         assert_eq!(groups.len(), 2);
@@ -419,8 +419,10 @@ mod tests {
         assert_eq!(total, sharded.cumulative_stats());
         // Sharding moves the tiles' ledgers (the f64 sums only reorder).
         let whole = branch.cumulative_stats();
-        assert_eq!((total.matvecs, total.macs), (whole.matvecs, whole.macs));
-        assert!(total.matvecs > 0);
+        assert_eq!(
+            (total.loads, total.write_bits),
+            (whole.loads, whole.write_bits)
+        );
         assert!(total.loads > 0, "group ledgers keep the compile-time loads");
     }
 }

@@ -213,13 +213,17 @@ impl LearnEngine {
     }
 
     /// Classifies `input` on the **resident** PE tiles — the same tiles
-    /// write-backs rewrite in place (each rewrite recompiles the tile's
-    /// flat execution kernel into its existing arrays, so steady-state
-    /// refreshes never touch the allocator). Useful for spot-checking the
-    /// resident branch between publishes without building a serving
+    /// write-backs rewrite in place — over the learner's
+    /// [`frozen_backbone`](OnlineLearner::frozen_backbone), with the
+    /// branch's scratch and attached pool. Returns logits and the run
+    /// ledger, which also lands in the `source="learn"` telemetry when a
+    /// bundle is attached. Bit-identical to serving a
+    /// [`compiled`](Self::compiled) snapshot. Useful for spot-checking
+    /// the resident branch between publishes without building a serving
     /// artifact.
-    pub fn predict(&mut self, input: &Tensor) -> (Tensor, pim_core::pe_inference::PeRunStats) {
-        self.branch.predict(self.learner.model_mut(), input)
+    pub fn predict(&mut self, input: &Tensor) -> (Tensor, PeStats) {
+        self.branch
+            .predict_frozen(self.learner.frozen_backbone(), input)
     }
 
     /// [`write_back`](Self::write_back), then hot-swap the updated model
@@ -370,10 +374,11 @@ impl LearnEngine {
         Ok(self.branch.pending_write_bits(self.learner.model())?)
     }
 
-    /// Hands the resident branch a shared [`WorkPool`]: tile compute in
-    /// [`predict`](Self::predict) and the per-tile write-back preflight
-    /// diff fan out over it. Results and ledgers are bit-identical at any
-    /// width; a 1-thread pool is the serial path.
+    /// Hands the resident branch a shared [`WorkPool`]: the backbone
+    /// convolutions and tile compute of [`predict`](Self::predict) and
+    /// the per-tile write-back preflight diff fan out over it. Results
+    /// and ledgers are bit-identical at any width; a 1-thread pool is the
+    /// serial path.
     pub fn attach_pool(&mut self, pool: Arc<WorkPool>) {
         self.branch.attach_pool(pool);
     }
@@ -471,9 +476,9 @@ mod tests {
             engine.step().expect("step");
             engine.write_back().expect("write back");
             let (resident, _) = engine.predict(&x);
-            let mut model = engine.learner().model().clone();
+            let model = engine.learner().model().clone();
             let mut cold = PeRepNet::compile(&model).expect("fits PEs");
-            let (reference, _) = cold.predict(&mut model, &x);
+            let (reference, _) = cold.predict(&model, &x);
             assert_eq!(
                 resident.as_slice(),
                 reference.as_slice(),
@@ -550,6 +555,51 @@ mod tests {
     }
 
     #[test]
+    fn resident_predict_matches_serving_the_published_snapshot() {
+        let mut engine = tiny_engine(WritePolicy::hybrid_dac24(1 << 20));
+        engine.attach_pool(Arc::new(WorkPool::with_forced_threads(2)));
+        let mut builder = Runtime::builder().workers(1);
+        let id = builder.register(engine.compiled());
+        let runtime = builder.start();
+        feed(&mut engine, 12);
+        for _ in 0..3 {
+            engine.step().expect("step");
+        }
+        engine.publish(&runtime, id).expect("publish");
+
+        let x = Tensor::from_vec(
+            vec![1, 1, 8, 8],
+            (0..64).map(|v| ((v * 7) % 13) as f32 / 13.0).collect(),
+        )
+        .expect("sample shape");
+        let (logits, stats) = engine.predict(&x);
+        let served = runtime.infer(id, &x).expect("serve");
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(logits.as_slice()), bits(&served.logits));
+        assert_eq!(stats.busy_time, served.latency);
+        assert_eq!(
+            stats.total_energy().as_pj().to_bits(),
+            served.energy.as_pj().to_bits()
+        );
+        // The full f64 run ledger, against the published snapshot.
+        let (_, want) = runtime.models()[0].infer_reference(&x);
+        let ledger = |s: &PeStats| {
+            [
+                s.busy_time.as_ns().to_bits(),
+                s.energy.leakage.as_pj().to_bits(),
+                s.energy.read.as_pj().to_bits(),
+                s.energy.write.as_pj().to_bits(),
+                s.energy.compute.as_pj().to_bits(),
+                s.cycles,
+                s.matvecs,
+                s.macs,
+            ]
+        };
+        assert_eq!(ledger(&stats), ledger(&want));
+        runtime.shutdown();
+    }
+
+    #[test]
     fn snapshots_share_one_frozen_backbone() {
         let mut engine = tiny_engine(WritePolicy::hybrid_dac24(1 << 20));
         let first = engine.compiled();
@@ -606,7 +656,7 @@ mod tests {
         )
         .expect("sample shape");
         let mut cold = PeRepNet::compile(&donor).expect("fits PEs");
-        let (want, _) = cold.predict(&mut donor, &x);
+        let (want, _) = cold.predict(&donor, &x);
         let served = runtime.infer(id, &x).expect("serve");
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&served.logits), bits(want.as_slice()));

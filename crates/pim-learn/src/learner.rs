@@ -14,9 +14,10 @@
 
 use crate::error::LearnError;
 use pim_nn::checkpoint::{self, CheckpointError};
-use pim_nn::models::{FrozenBackbone, RepNet};
+use pim_nn::models::{BackboneScratch, FrozenBackbone, RepNet};
 use pim_nn::tensor::Tensor;
 use pim_nn::train::{train_step_from_taps, Dataset, Sgd, StepStats};
+use pim_par::WorkPool;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
@@ -64,6 +65,8 @@ pub struct OnlineLearner {
     /// checkpoint restore rewrites the backbone: every artifact published
     /// in between shares it.
     frozen: Arc<FrozenBackbone>,
+    /// Working memory of the replay taps' backbone forwards.
+    scratch: BackboneScratch,
     sgd: Sgd,
     rng: StdRng,
     /// Replayed samples, oldest first.
@@ -110,6 +113,7 @@ impl OnlineLearner {
         assert!(config.batch_size > 0, "batch size must be nonzero");
         Self {
             frozen: Arc::new(model.backbone().freeze()),
+            scratch: BackboneScratch::default(),
             model,
             sgd: Sgd::new(config.lr, config.momentum, config.weight_decay),
             rng: StdRng::seed_from_u64(config.seed),
@@ -188,7 +192,8 @@ impl OnlineLearner {
     }
 
     /// Runs the distinct `picks` without memoised taps through one
-    /// batched backbone forward and stores each sample's share.
+    /// batched forward of the frozen backbone (serial; bit-identical to
+    /// the model's eval forward) and stores each sample's share.
     fn tap_first_use(&mut self, picks: &[usize]) {
         let mut fresh: Vec<usize> = Vec::new();
         for &i in picks {
@@ -200,7 +205,9 @@ impl OnlineLearner {
             return;
         }
         let batch = stack(fresh.iter().map(|&i| self.replay[i].input.clone()));
-        let out = self.model.backbone_outputs(&batch);
+        let out = self
+            .frozen
+            .forward(&batch, &mut self.scratch, WorkPool::serial_ref());
         for (j, &i) in fresh.iter().enumerate() {
             let taps = out.taps.iter().map(|t| t.batch_item(j)).collect();
             self.replay[i].taps = Some((taps, out.features.batch_item(j)));
@@ -218,8 +225,8 @@ impl OnlineLearner {
         &self.frozen
     }
 
-    /// Mutable model access (the engine's predict and parameter-count
-    /// paths need it).
+    /// Mutable model access (the engine's parameter count needs it:
+    /// `Layer::params` visits parameters through `&mut`).
     ///
     /// Callers must not modify the frozen backbone: replay taps are
     /// memoised against it, and only

@@ -12,7 +12,6 @@ use crate::tensor::Tensor;
 use pim_par::{SharedSliceMut, WorkPool};
 use pim_sparse::Matrix;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// 2-D convolution over NCHW tensors.
 ///
@@ -36,10 +35,6 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     cached: Option<CachedForward>,
-    /// Optional shared compute pool; `None` runs the forward serially.
-    /// Attached (not constructed) so every conv in a model shares one
-    /// pool — see `Backbone::attach_pool`.
-    pool: Option<Arc<WorkPool>>,
     /// Eval-mode arenas reused across forwards so steady-state inference
     /// allocates nothing.
     scratch: ConvScratch,
@@ -131,7 +126,6 @@ impl Conv2d {
             stride,
             padding,
             cached: None,
-            pool: None,
             scratch: ConvScratch::default(),
             wt: Vec::new(),
         }
@@ -161,15 +155,6 @@ impl Conv2d {
             wt,
             bias: self.bias.value.as_slice().to_vec(),
         }
-    }
-
-    /// Attaches a shared work pool; subsequent forwards fan the im2col /
-    /// matmul / layout loops out over its threads. Every output element
-    /// keeps its exact serial f32 accumulation chain (tasks split *rows*,
-    /// never a reduction), so pooled and serial forwards are
-    /// bit-identical.
-    pub fn attach_pool(&mut self, pool: Arc<WorkPool>) {
-        self.pool = Some(pool);
     }
 
     /// Input channel count.
@@ -475,18 +460,14 @@ impl Layer for Conv2d {
             self.reduction_len(),
             &mut self.wt,
         );
-        let pool: &WorkPool = match &self.pool {
-            Some(p) => p,
-            // Shared 'static serial fallback: constructing a pool per
-            // forward is allocator traffic the hot path doesn't need.
-            None => WorkPool::serial_ref(),
-        };
+        // Training and eval forwards run serially; only the frozen
+        // backbone's forward takes a pool.
         let y = self.shape().forward(
             &self.wt,
             self.bias.value.as_slice(),
             input,
             &mut self.scratch,
-            pool,
+            WorkPool::serial_ref(),
         );
         if train {
             let s = input.shape();

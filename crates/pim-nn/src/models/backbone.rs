@@ -14,7 +14,6 @@ use crate::tensor::Tensor;
 use pim_par::WorkPool;
 use pim_sparse::prune::prune_magnitude;
 use pim_sparse::NmPattern;
-use std::sync::Arc;
 
 /// Conv → BatchNorm → ReLU, the backbone's basic unit.
 #[derive(Debug, Clone)]
@@ -49,12 +48,6 @@ impl ConvBnRelu {
     /// Mutable access to the wrapped convolution.
     pub fn conv_mut(&mut self) -> &mut Conv2d {
         &mut self.conv
-    }
-
-    /// Hands the convolution a shared compute pool (see
-    /// [`Backbone::attach_pool`]).
-    pub fn attach_pool(&mut self, pool: &Arc<WorkPool>) {
-        self.conv.attach_pool(Arc::clone(pool));
     }
 
     fn freeze(&self) -> FrozenCbr {
@@ -118,13 +111,6 @@ impl ResidualBlock {
     /// Mutable access to the two convolutions.
     pub fn convs_mut(&mut self) -> [&mut Conv2d; 2] {
         [self.cbr1.conv_mut(), &mut self.conv2]
-    }
-
-    /// Hands both convolutions a shared compute pool (see
-    /// [`Backbone::attach_pool`]).
-    pub fn attach_pool(&mut self, pool: &Arc<WorkPool>) {
-        self.cbr1.attach_pool(pool);
-        self.conv2.attach_pool(Arc::clone(pool));
     }
 
     fn freeze(&self) -> FrozenBlock {
@@ -319,22 +305,6 @@ impl Backbone {
     /// Number of stages (and taps).
     pub fn num_stages(&self) -> usize {
         self.stages.len()
-    }
-
-    /// Hands every convolution one shared compute pool; forwards then fan
-    /// their im2col/matmul rows out over its threads, bit-identically to
-    /// the serial path (see `Conv2d::attach_pool`). BatchNorm, ReLU, and
-    /// pooling stay serial — they are a small fraction of the work.
-    pub fn attach_pool(&mut self, pool: &Arc<WorkPool>) {
-        self.stem.attach_pool(pool);
-        for stage in &mut self.stages {
-            if let Some(t) = &mut stage.transition {
-                t.attach_pool(pool);
-            }
-            for block in &mut stage.blocks {
-                block.attach_pool(pool);
-            }
-        }
     }
 
     /// Runs the backbone, returning both the per-stage taps and the pooled

@@ -219,13 +219,6 @@ impl RepNet {
         &mut self.backbone
     }
 
-    /// Hands the backbone convolutions a shared compute pool (the rep
-    /// branch runs on the PE simulators during inference, so only the
-    /// frozen f32 backbone benefits). Bit-identical to the serial path.
-    pub fn attach_pool(&mut self, pool: &std::sync::Arc<pim_par::WorkPool>) {
-        self.backbone.attach_pool(pool);
-    }
-
     /// The rep modules.
     pub fn modules(&self) -> &[RepNetModule] {
         &self.modules

@@ -421,9 +421,9 @@ impl SramSparsePe {
     /// The compute half of [`matvec_batch`](SparsePe::matvec_batch):
     /// identical validation and identical kernel arithmetic, but `&self`
     /// and **no ledger recording** — parallel tasks can fan a batch out
-    /// over disjoint sub-ranges of one tile, then the dispatcher folds the
-    /// accounting in deterministic order with
-    /// [`record_matvecs`](Self::record_matvecs).
+    /// over disjoint sub-ranges of one tile, then the caller folds
+    /// [`matvec_cost`](Self::matvec_cost) into its own run ledger in
+    /// deterministic order.
     ///
     /// # Errors
     ///
@@ -482,8 +482,8 @@ impl SramSparsePe {
     }
 
     /// The analytic per-matvec cost of the resident tile, precomputed at
-    /// load/update time — what [`record_matvecs`](Self::record_matvecs)
-    /// folds per matvec, readable without touching the ledger.
+    /// load/update time — what every matvec adds to a ledger, readable
+    /// without touching the PE's own.
     ///
     /// # Errors
     ///
@@ -491,24 +491,6 @@ impl SramSparsePe {
     pub fn matvec_cost(&self) -> Result<MatvecCost, PeError> {
         self.tile.as_ref().ok_or(PeError::NotLoaded)?;
         Ok(self.cost)
-    }
-
-    /// The accounting half of [`matvec_batch`](SparsePe::matvec_batch):
-    /// folds `count` matvecs of the resident tile into the PE ledger, in
-    /// the same sequential order (and therefore the same f64 bit patterns)
-    /// the fused call would have used, and returns the per-matvec cost.
-    ///
-    /// # Errors
-    ///
-    /// [`PeError::NotLoaded`] with no resident tile.
-    pub fn record_matvecs(&mut self, count: usize) -> Result<MatvecCost, PeError> {
-        let tile = self.tile.as_ref().ok_or(PeError::NotLoaded)?;
-        let occupied = tile.occupied_slots;
-        let cost = self.cost;
-        for _ in 0..count {
-            self.stats.record_matvec_cost(&cost, occupied);
-        }
-        Ok(cost)
     }
 
     /// Recompiles the flat execution kernel and the analytic per-matvec
@@ -630,29 +612,12 @@ impl SparsePe for SramSparsePe {
         batch: usize,
         y: &mut [i32],
     ) -> Result<MatvecCost, PeError> {
-        assert!(batch > 0, "batch must be non-empty");
-        let tile = self.tile.as_ref().ok_or(PeError::NotLoaded)?;
-        if xs.len() != batch * tile.rows {
-            return Err(PeError::InputLength {
-                expected: batch * tile.rows,
-                actual: xs.len(),
-            });
-        }
-        assert_eq!(
-            y.len(),
-            batch * tile.cols,
-            "output buffer does not match batch × column count"
-        );
-        let occupied = tile.occupied_slots;
-        match &self.packed {
-            Some(p) => p.matmul_into(xs, batch, y),
-            None => self.kernel.matmul_into(xs, batch, y),
-        }
-        let cost = self.cost;
+        self.matvec_batch_compute(xs, batch, y)?;
+        let occupied = self.tile.as_ref().expect("validated above").occupied_slots;
         for _ in 0..batch {
-            self.stats.record_matvec_cost(&cost, occupied);
+            self.stats.record_matvec_cost(&self.cost, occupied);
         }
-        Ok(cost)
+        Ok(self.cost)
     }
 
     fn stats(&self) -> &PeStats {
@@ -977,28 +942,6 @@ mod tests {
         acc.into_iter().map(|v| v as i32).collect()
     }
 
-    /// The pre-decoupling per-call accounting, kept verbatim as the oracle
-    /// for the precomputed [`MatvecCost`]: same expressions, same f64
-    /// operation order, evaluated per call instead of at load time.
-    fn step_wise_cost(pe: &SramSparsePe) -> MatvecCost {
-        let tile = pe.tile.as_ref().expect("loaded");
-        let cycles = pe.config.weight_bits as u64 * tile.m as u64 + 3;
-        let latency = Latency::from_cycles(cycles, pe.config.tech.clock_mhz());
-        let comp = &pe.config.components;
-        let mut energy = pe.config.leakage_over(latency);
-        let read_power = comp.decoder.power() + comp.bit_cell.power() + comp.index_decoder.power();
-        energy.add_read(read_power * latency);
-        let compute_power = comp.shift_acc.power() + comp.adder.power() + comp.global_relu.power();
-        energy.add_compute(compute_power * latency);
-        let buffer_bits = (tile.rows as u64) * pe.config.weight_bits as u64;
-        energy.add_read(comp.buffer_energy_per_bit * buffer_bits as f64);
-        MatvecCost {
-            cycles,
-            latency,
-            energy,
-        }
-    }
-
     proptest! {
         // Tentpole equivalence pin: on random tiles — 1:4 and 1:8, with
         // reduction lengths that leave partial tail groups (unoccupied
@@ -1086,35 +1029,6 @@ mod tests {
                 );
             }
         }
-
-        // Accounting pin: the load-time analytic cost equals the old
-        // per-call computation exactly — same cycles and the same f64 bit
-        // pattern in every energy bucket — so every stats ledger built on
-        // it (PeStats, PeRunStats, EDP) is unchanged by the decoupling.
-        #[test]
-        fn analytic_cost_matches_step_wise_accounting(
-            (rows, pattern) in prop_oneof![
-                Just((64usize, NmPattern::one_of_four())),
-                Just((61usize, NmPattern::one_of_four())),
-                Just((64usize, NmPattern::one_of_eight())),
-                Just((128usize, NmPattern::one_of_eight())),
-            ],
-            seed in 0usize..64,
-        ) {
-            let csc = sparse_tile(rows, 4, pattern, seed);
-            let mut pe = SramSparsePe::new();
-            pe.load(&csc).unwrap();
-            let oracle = step_wise_cost(&pe);
-            let x = vec![1i8; rows];
-            let report = pe.matvec(&x).unwrap();
-            prop_assert_eq!(report.cycles, oracle.cycles);
-            prop_assert_eq!(report.latency, oracle.latency);
-            // Bucket-by-bucket exact f64 equality, not approximate.
-            prop_assert_eq!(report.energy.leakage.as_pj(), oracle.energy.leakage.as_pj());
-            prop_assert_eq!(report.energy.read.as_pj(), oracle.energy.read.as_pj());
-            prop_assert_eq!(report.energy.compute.as_pj(), oracle.energy.compute.as_pj());
-            prop_assert_eq!(report.energy.write.as_pj(), oracle.energy.write.as_pj());
-        }
     }
 
     #[test]
@@ -1155,8 +1069,8 @@ mod tests {
         let csc = sparse_tile(64, 4, NmPattern::one_of_four(), 21);
         let mut fused = SramSparsePe::new();
         fused.load(&csc).unwrap();
-        let mut split = SramSparsePe::new();
-        split.load(&csc).unwrap();
+        let split = fused.clone();
+        let loaded = *fused.stats();
 
         let xs: Vec<i8> = (0..4 * 64)
             .map(|i| ((i * 53 + 11) % 256) as u8 as i8)
@@ -1165,7 +1079,8 @@ mod tests {
         let cost_fused = fused.matvec_batch(&xs, 4, &mut y_fused).unwrap();
 
         // Split path computes the batch in two disjoint halves (as a
-        // parallel fan-out would), then records the accounting once.
+        // parallel fan-out would), then folds the per-matvec cost into a
+        // caller-owned ledger in the fused call's order.
         let mut y_split = vec![0i32; 4 * 4];
         split
             .matvec_batch_compute(&xs[..2 * 64], 2, &mut y_split[..2 * 4])
@@ -1173,11 +1088,17 @@ mod tests {
         split
             .matvec_batch_compute(&xs[2 * 64..], 2, &mut y_split[2 * 4..])
             .unwrap();
-        let cost_split = split.record_matvecs(4).unwrap();
+        let cost_split = split.matvec_cost().unwrap();
+        let occupied = csc.nnz() as u64;
+        let mut ledger = loaded;
+        for _ in 0..4 {
+            ledger.record_matvec_cost(&cost_split, occupied);
+        }
 
         assert_eq!(y_split, y_fused, "outputs bit-identical across the split");
         assert_eq!(cost_split, cost_fused);
-        assert_eq!(split.stats(), fused.stats(), "ledgers agree bit-exactly");
+        assert_eq!(ledger, *fused.stats(), "ledgers agree bit-exactly");
+        assert_eq!(*split.stats(), loaded, "compute never touches the ledger");
     }
 
     #[test]
@@ -1188,8 +1109,8 @@ mod tests {
             pe.matvec_batch_compute(&[0i8; 64], 1, &mut y),
             Err(PeError::NotLoaded)
         );
+        assert_eq!(pe.matvec_cost(), Err(PeError::NotLoaded));
         let mut pe = pe;
-        assert_eq!(pe.record_matvecs(1), Err(PeError::NotLoaded));
         let csc = sparse_tile(64, 4, NmPattern::one_of_four(), 22);
         pe.load(&csc).unwrap();
         assert!(matches!(

@@ -113,11 +113,11 @@ fn main() {
     println!();
 
     // -- Bit-exactness: serving matches a cold recompile -------------------
-    let mut cold_model = engine.learner().model().clone();
+    let cold_model = engine.learner().model().clone();
     let mut cold_branch = PeRepNet::compile(&cold_model).expect("cold recompile");
     let (x, _) = task.test.batch(&[0]);
     let served = runtime.infer(id, &x).expect("serve");
-    let (cold_logits, _) = cold_branch.predict(&mut cold_model, &x);
+    let (cold_logits, _) = cold_branch.predict(&cold_model, &x);
     assert_eq!(
         served.logits,
         cold_logits.as_slice(),

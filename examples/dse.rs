@@ -18,6 +18,15 @@ use pim_runtime::{CompiledModel, Runtime};
 use pim_telemetry::TelemetryRegistry;
 use std::path::Path;
 
+/// The document with every host-timed `measured_ns` cleared.
+fn without_timing(mut doc: TunedDoc) -> TunedDoc {
+    doc.best.measured_ns = None;
+    for entry in &mut doc.frontier {
+        entry.measured_ns = None;
+    }
+    doc
+}
+
 fn main() {
     println!("=== pim-dse: design-space exploration ===\n");
 
@@ -69,8 +78,15 @@ fn main() {
     );
 
     // -- TUNED.json round-trip ---------------------------------------------
+    // `measured_ns` is a host timing that differs on every run, so the
+    // committed file is rewritten only when the sweep found something else.
     let path = Path::new("TUNED.json");
-    outcome.doc.save(path).expect("write TUNED.json");
+    let committed = TunedDoc::load(path).ok().flatten().map(without_timing);
+    let fresh = TunedDoc::parse(&outcome.doc.render()).map(without_timing);
+    let rewrite = committed.is_none() || committed != fresh;
+    if rewrite {
+        outcome.doc.save(path).expect("write TUNED.json");
+    }
     let reloaded = TunedDoc::load(path)
         .expect("readable")
         .expect("present and valid");
@@ -79,7 +95,12 @@ fn main() {
         "the winning configuration survives the JSON round-trip exactly"
     );
     println!(
-        "wrote TUNED.json ({} frontier points) and verified the round-trip",
+        "{} TUNED.json ({} frontier points) and verified the round-trip",
+        if rewrite {
+            "wrote"
+        } else {
+            "kept the committed"
+        },
         reloaded.frontier.len()
     );
 

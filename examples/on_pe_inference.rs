@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let indices: Vec<usize> = (0..task.test.len()).collect();
     let (x, labels) = task.test.batch(&indices);
-    let (pe_preds, stats) = compiled.classify(system.model_mut(), &x);
+    let (pe_preds, stats) = compiled.classify(system.model(), &x);
     let pe_correct = pe_preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
     println!(
         "\nPE-executed accuracy: {:.2}% over {} samples",

@@ -97,11 +97,10 @@ fn main() {
     let stats = runtime.shutdown();
 
     // -- Spot-check: batched == sequential, bit for bit -------------------
-    let mut reference_model = model.clone();
-    let mut reference = PeRepNet::compile(&reference_model).expect("compile");
+    let mut reference = PeRepNet::compile(&model).expect("compile");
     let mut checked = 0;
     for (sample, response) in responses.iter().take(10) {
-        let (logits, _) = reference.predict(&mut reference_model, &inputs[*sample]);
+        let (logits, _) = reference.predict(&model, &inputs[*sample]);
         assert_eq!(
             response.logits,
             logits.as_slice(),

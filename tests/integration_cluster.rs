@@ -161,8 +161,7 @@ fn sharded_cluster_reproduces_the_single_macro_answer() {
     let inputs = tiny_inputs(10);
 
     // Sequential single-macro reference.
-    let mut reference_model = model.clone();
-    let mut reference = PeRepNet::compile(&reference_model).expect("compile");
+    let mut reference = PeRepNet::compile(&model).expect("compile");
 
     let mut builder = ClusterBuilder::new()
         .replicas(2)
@@ -176,7 +175,7 @@ fn sharded_cluster_reproduces_the_single_macro_answer() {
     }
 
     for (i, x) in inputs.iter().enumerate() {
-        let (expected, _) = reference.predict(&mut reference_model, x);
+        let (expected, _) = reference.predict(&model, x);
         let response = cluster.infer(id, x).expect("cluster response");
         assert_eq!(
             response.logits,

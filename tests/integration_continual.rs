@@ -84,12 +84,12 @@ fn online_steps_then_hot_swap_serve_bit_exact_within_budget() {
 
     // (a) Serving is bit-exact with a cold recompile of the learner's
     // current weights, for every test sample.
-    let mut cold_model = engine.learner().model().clone();
+    let cold_model = engine.learner().model().clone();
     let mut cold_branch = PeRepNet::compile(&cold_model).expect("cold recompile");
     for i in 0..task.test.len() {
         let (x, _) = task.test.batch(&[i]);
         let served = runtime.infer(id, &x).expect("serve");
-        let (cold_logits, _) = cold_branch.predict(&mut cold_model, &x);
+        let (cold_logits, _) = cold_branch.predict(&cold_model, &x);
         assert_eq!(
             served.logits,
             cold_logits.as_slice().to_vec(),
@@ -174,10 +174,10 @@ fn checkpoint_restores_and_write_back_republishes_the_restored_weights() {
         .save_checkpoint(&mut saved)
         .expect("save");
     let reference = {
-        let mut model = engine.learner().model().clone();
+        let model = engine.learner().model().clone();
         let mut branch = PeRepNet::compile(&model).expect("reference compile");
         let (x, _) = task.test.batch(&[0]);
-        let (logits, _) = branch.predict(&mut model, &x);
+        let (logits, _) = branch.predict(&model, &x);
         logits.as_slice().to_vec()
     };
     for _ in 0..3 {
@@ -193,10 +193,10 @@ fn checkpoint_restores_and_write_back_republishes_the_restored_weights() {
         .expect("load");
     engine.write_back().expect("write back restored weights");
     let restored = engine.compiled();
-    let mut cold_model = engine.learner().model().clone();
+    let cold_model = engine.learner().model().clone();
     let mut cold_branch = PeRepNet::compile(&cold_model).expect("cold recompile");
     let (x, _) = task.test.batch(&[0]);
-    let (cold_logits, _) = cold_branch.predict(&mut cold_model, &x);
+    let (cold_logits, _) = cold_branch.predict(&cold_model, &x);
     assert_eq!(cold_logits.as_slice().to_vec(), reference);
     assert_eq!(restored.name(), "live@v3");
 }

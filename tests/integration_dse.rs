@@ -62,15 +62,18 @@ proptest! {
 
     /// The SRAM config-level matvec cost is the exact ledger delta of the
     /// cycle simulator: cycles, busy time, and every energy channel.
+    /// Tiles run up to 256 rows, and `tail` leaves a partial last N:M
+    /// group.
     #[test]
     fn sram_analytic_cost_is_bit_exact_against_the_pe_ledger(
         cfg in arb_config(),
-        row_groups in 2usize..6,
+        row_groups in 2usize..=32,
+        tail in 0usize..8,
         cols in 1usize..4,
         seed in 0usize..64,
     ) {
         let pattern = cfg.pattern;
-        let rows = row_groups * pattern.m();
+        let rows = row_groups * pattern.m() - tail % pattern.m();
         let csc = sparse_tile(rows, cols, pattern, seed);
         let mut pe = SramSparsePe::with_config(cfg.sram.clone());
         pe.load(&csc).expect("sampled tile fits the sampled PE");
@@ -94,16 +97,19 @@ proptest! {
     }
 
     /// Same pin for the MRAM PE: `rows_used` and total stored pairs are
-    /// derived from the CSC layout exactly as `load` packs it.
+    /// derived from the CSC layout exactly as `load` packs it. Tiles run
+    /// up to 512 rows, so a column can span several MRAM rows, and `tail`
+    /// leaves a partial last N:M group.
     #[test]
     fn mram_analytic_cost_is_bit_exact_against_the_pe_ledger(
         cfg in arb_config(),
-        row_groups in 2usize..8,
-        cols in 1usize..4,
+        row_groups in 2usize..=64,
+        tail in 0usize..8,
+        cols in 1usize..=8,
         seed in 0usize..64,
     ) {
         let pattern = cfg.pattern;
-        let rows = row_groups * pattern.m();
+        let rows = row_groups * pattern.m() - tail % pattern.m();
         let csc = sparse_tile(rows, cols, pattern, seed);
         let mut pe = MramSparsePe::with_config(cfg.mram.clone());
         pe.load(&csc).expect("sampled tile fits the sampled PE");

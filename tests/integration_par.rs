@@ -56,16 +56,15 @@ fn logit_bits(t: &Tensor) -> Vec<u32> {
 fn parallel_predict_is_bit_exact_with_serial() {
     let model = tiny_model(3);
 
-    let mut model_s = model.clone();
-    let mut serial = PeRepNet::compile(&model_s).expect("compile");
-    let mut model_p = model.clone();
+    let mut serial = PeRepNet::compile(&model).expect("compile");
+    let compiled_ledger = serial.cumulative_stats();
     let mut parallel = serial.clone();
     let pool = Arc::new(WorkPool::with_forced_threads(4));
     parallel.attach_pool(Arc::clone(&pool));
 
     let x = tiny_batch(8);
-    let (logits_s, stats_s) = serial.predict(&mut model_s, &x);
-    let (logits_p, stats_p) = parallel.predict(&mut model_p, &x);
+    let (logits_s, stats_s) = serial.predict(&model, &x);
+    let (logits_p, stats_p) = parallel.predict(&model, &x);
     let first = pool.counters();
 
     assert_eq!(
@@ -74,16 +73,16 @@ fn parallel_predict_is_bit_exact_with_serial() {
         "4-thread logits diverged from serial at the bit level"
     );
     assert_eq!(stats_s, stats_p, "run ledgers must replay identically");
-    assert_eq!(
-        serial.cumulative_stats(),
-        parallel.cumulative_stats(),
-        "cumulative per-tile ledgers must agree bit-exactly"
-    );
+    // Each run is billed to the ledger it returns: at every pool width
+    // the tiles keep exactly their compile-time load ledger.
+    for branch in [&serial, &parallel] {
+        assert_eq!(branch.cumulative_stats(), compiled_ledger);
+    }
 
     // The forced-wide pool dispatches every multi-index grid of the
     // forward pass, and each executed index is counted exactly once: the
     // second, identical pass ran exactly as many indices as the first.
-    let (logits_p2, _) = parallel.predict(&mut model_p, &x);
+    let (logits_p2, _) = parallel.predict(&model, &x);
     assert_eq!(logit_bits(&logits_p), logit_bits(&logits_p2));
     let c = pool.counters();
     assert!(first.jobs > 0, "a forced 4-wide pool must dispatch");

@@ -38,12 +38,11 @@ fn coalesced_batches_are_bit_exact_with_sequential_inference() {
 
     // Sequential reference: one sample at a time through a private
     // compiled branch.
-    let mut reference_model = model.clone();
-    let mut reference = PeRepNet::compile(&reference_model).expect("compile");
+    let mut reference = PeRepNet::compile(&model).expect("compile");
     let sequential: Vec<Vec<f32>> = inputs
         .iter()
         .map(|x| {
-            let (logits, _) = reference.predict(&mut reference_model, x);
+            let (logits, _) = reference.predict(&model, x);
             logits.as_slice().to_vec()
         })
         .collect();
