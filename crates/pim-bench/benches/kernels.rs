@@ -101,45 +101,6 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Bit-plane packed kernel vs the flat gather on the SAME tile and the
-    // SAME inputs — the packed path's target regime: dense **ternary**
-    // weights (128×8, 1024 slots, filling the array exactly) driven by
-    // **binary** activations, i.e. one live weight magnitude plane per
-    // sign and one live activation plane. The load-time profitability
-    // heuristic must select the popcount path on its own.
-    let dense_pattern = NmPattern::new(4, 4).expect("4:4 keeps every slot");
-    let ternary = Matrix::from_fn(128, 8, |r, c| if (r + c) % 2 == 0 { 1i8 } else { -1 });
-    let ternary_mask = prune_magnitude(&ternary, dense_pattern).expect("non-empty");
-    let ternary_csc = CscMatrix::compress(&ternary, &ternary_mask).expect("fits");
-    let mut packed_pe = SramSparsePe::new();
-    packed_pe.load(&ternary_csc).expect("capacity");
-    assert_eq!(
-        packed_pe.kernel_backend(),
-        "packed",
-        "profitability heuristic must pick the bit-plane path for dense ternary"
-    );
-    let mut flat_ternary_pe = packed_pe.clone();
-    flat_ternary_pe.set_packed_enabled(false);
-    assert_eq!(flat_ternary_pe.kernel_backend(), "flat");
-    let bxs: Vec<i8> = (0..batch * 128).map(|i| (i % 2) as i8).collect();
-    let mut y2 = vec![0i32; batch * 8];
-    g.bench_function("packed_matvec_batch8_ternary_binary_acts", |b| {
-        b.iter(|| {
-            packed_pe
-                .matvec_batch(&bxs, batch, &mut y2)
-                .expect("loaded");
-            black_box(y2[0])
-        })
-    });
-    g.bench_function("flat_matvec_batch8_ternary_binary_acts", |b| {
-        b.iter(|| {
-            flat_ternary_pe
-                .matvec_batch(&bxs, batch, &mut y2)
-                .expect("loaded");
-            black_box(y2[0])
-        })
-    });
-
     // NN substrate: conv forward + backward.
     let mut conv = Conv2d::new(8, 16, 3, 1, 1, 3);
     let input = Tensor::from_fn(&[4, 8, 12, 12], |i| (i as f32 * 0.01).sin());
@@ -230,18 +191,6 @@ fn bench(c: &mut Criterion) {
         mram_pe.matvec_batch(&txs, batch, &mut yb).expect("loaded");
         yb[0]
     });
-    let packed_batch_ns = measure_ns_best(3, 200, || {
-        packed_pe
-            .matvec_batch(&bxs, batch, &mut y2)
-            .expect("loaded");
-        y2[0]
-    });
-    let flat_ternary_ns = measure_ns_best(3, 200, || {
-        flat_ternary_pe
-            .matvec_batch(&bxs, batch, &mut y2)
-            .expect("loaded");
-        y2[0]
-    });
     let direct_conv_ns = measure_ns_best(4, 15, || compiled.conv3_stage_forward(&feat).0);
     let predict_ns = measure_ns_best(4, 10, || compiled.predict(&model, &images).0);
     let predict_par = |threads: usize| {
@@ -261,8 +210,6 @@ fn bench(c: &mut Criterion) {
         BenchRecord::new("sram_pe_matvec_into_tile", flat_single_ns),
         BenchRecord::new("sram_pe_matvec_batch8_tile", flat_batch_ns),
         BenchRecord::new("mram_pe_matvec_batch8_tile", mram_batch_ns),
-        BenchRecord::new("packed_matvec_batch8_ternary_binary_acts", packed_batch_ns),
-        BenchRecord::new("flat_matvec_batch8_ternary_binary_acts", flat_ternary_ns),
         BenchRecord::new("direct_conv3_batch8_4x8x8", direct_conv_ns),
         BenchRecord::new("pe_repnet_predict_batch8", predict_ns),
         BenchRecord::new("pe_repnet_predict_batch8_par1", predict_par1_ns),
@@ -271,10 +218,6 @@ fn bench(c: &mut Criterion) {
         BenchRecord::new("pe_repnet_predict_batch8_par8", predict_par8_ns),
     ];
     let derived = [
-        // Bit-plane popcount kernel vs the flat gather on the same dense
-        // ternary tile under binary activations — the packed path's
-        // target regime; the bench-gate enforces >= 1.0 here.
-        ("packed_vs_flat_speedup", flat_ternary_ns / packed_batch_ns),
         ("direct_conv3_batch8_us", direct_conv_ns / 1e3),
         // Compiled flat kernel vs the bit-serial reference walk of the
         // same masked tile — the per-matvec speedup of the decoupling.

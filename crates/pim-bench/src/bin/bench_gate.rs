@@ -21,6 +21,8 @@
 //!   but a present-and-malformed one fails the gate: a runtime would
 //!   silently ignore broken tuned defaults, so CI must not.
 
+#![forbid(unsafe_code)]
+
 use pim_bench::json::JsonValue;
 use pim_bench::BenchDoc;
 use std::process::ExitCode;
@@ -68,12 +70,6 @@ const SLO_CEILINGS: [(&str, f64); 5] = [
     ("governor_shed_frac", 0.90),
     ("governor_recovery_ticks", 400.0),
 ];
-
-/// Same-machine speedup floors enforced on the fresh run once the
-/// committed baseline carries the key. `packed_vs_flat_speedup` is the
-/// bit-plane kernel's contract: on the dense low-precision tile the
-/// bench packs, popcount-accumulate must never lose to the flat kernel.
-const SPEEDUP_FLOORS: [(&str, f64); 1] = [("packed_vs_flat_speedup", 1.0)];
 
 /// Telemetry overhead key: the fresh fraction is clamped at zero before
 /// the ceiling check — timing jitter routinely makes the instrumented
@@ -127,30 +123,8 @@ fn run(committed_path: &str, fresh_path: &str) -> Result<Vec<String>, String> {
     println!("  {}", baseline_cores_note(&committed));
     check_parallel_floor(&fresh, &mut failures);
     check_slo_ceilings(&committed, &fresh, &mut failures);
-    check_speedup_floors(&committed, &fresh, &mut failures);
     check_telemetry_overhead(&committed, &fresh, &mut failures);
     Ok(failures)
-}
-
-/// Enforces the same-machine speedup floors on the fresh run. A committed
-/// baseline without the key (predating the kernel) skips the check.
-fn check_speedup_floors(committed: &BenchDoc, fresh: &BenchDoc, failures: &mut Vec<String>) {
-    for (key, floor) in SPEEDUP_FLOORS {
-        if committed.derived_value(key).is_none() {
-            println!("  floor {key:<32} SKIPPED (no committed baseline key)");
-            continue;
-        }
-        let Some(value) = fresh.derived_value(key) else {
-            continue; // already a structure failure
-        };
-        if value.is_finite() && value >= floor {
-            println!("  floor {key:<32} {value:.3} (floor {floor:.2}x, ok)");
-        } else {
-            failures.push(format!(
-                "speedup '{key}' is {value:.3}, below its floor {floor:.2}x"
-            ));
-        }
-    }
 }
 
 /// Enforces the telemetry-overhead ceiling on `max(0, frac)` — negative
@@ -466,32 +440,6 @@ mod tests {
         // A pre-sweep baseline is called out, not guessed at.
         let note = baseline_cores_note(&doc(&[]));
         assert!(note.contains(PAR_CORES_KEY), "{note}");
-    }
-
-    #[test]
-    fn packed_speedup_floor_fails_below_one() {
-        let committed = doc(&[("packed_vs_flat_speedup", 3.5)]);
-        let mut failures = Vec::new();
-        check_speedup_floors(
-            &committed,
-            &doc(&[("packed_vs_flat_speedup", 1.2)]),
-            &mut failures,
-        );
-        assert!(failures.is_empty(), "{failures:?}");
-        check_speedup_floors(
-            &committed,
-            &doc(&[("packed_vs_flat_speedup", 0.8)]),
-            &mut failures,
-        );
-        assert_eq!(failures.len(), 1);
-        // Baselines predating the packed kernel skip the floor.
-        let mut none = Vec::new();
-        check_speedup_floors(
-            &doc(&[]),
-            &doc(&[("packed_vs_flat_speedup", 0.8)]),
-            &mut none,
-        );
-        assert!(none.is_empty());
     }
 
     const GOOD: &str = r#"{

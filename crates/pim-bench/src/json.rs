@@ -64,14 +64,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean, if `self` is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Self::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string, if `self` is one.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -7,6 +7,8 @@
 //! series to compare against the publication, and `EXPERIMENTS.md` records
 //! the paper-vs-measured comparison.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 
 use json::{JsonValue, JsonWriter};
@@ -116,18 +118,6 @@ pub fn render_bench_json<S: AsRef<str>>(
     w.end_obj();
     w.end_obj();
     w.finish()
-}
-
-/// Writes [`render_bench_json`] output to `path` and reports where.
-pub fn write_bench_json<S: AsRef<str>>(
-    path: &Path,
-    bench: &str,
-    records: &[BenchRecord],
-    derived: &[(S, f64)],
-) -> std::io::Result<()> {
-    std::fs::write(path, render_bench_json(bench, records, derived))?;
-    println!("wrote {}", path.display());
-    Ok(())
 }
 
 /// A parsed `BENCH_*.json` baseline.

@@ -49,6 +49,8 @@
 //! println!("{stats}");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cluster;
 mod error;
 mod router;

@@ -28,6 +28,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 use pim_nn::tensor::Tensor;
 use pim_nn::train::{Dataset, DatasetError};
 use rand::rngs::StdRng;

@@ -32,6 +32,8 @@
 //! assert!(sram.total_area() > Area::from_mm2(0.2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod components;
 pub mod endurance;
 pub mod energy;

@@ -302,12 +302,6 @@ impl Latency {
     pub fn as_ms(self) -> f64 {
         self.as_base() / 1.0e6
     }
-
-    /// Returns the latency in seconds.
-    #[inline]
-    pub fn as_s(self) -> f64 {
-        self.as_base() / 1.0e9
-    }
 }
 
 /// `Power × Latency = Energy` (mW × ns = pJ, conveniently 1:1 in base units).

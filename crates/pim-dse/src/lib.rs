@@ -18,6 +18,8 @@
 //! as `TUNED.json`, which `pim_runtime::RuntimeBuilder::tuned` consumes as
 //! runtime defaults (explicit builder calls always win).
 
+#![forbid(unsafe_code)]
+
 pub mod evaluate;
 pub mod measure;
 pub mod pareto;

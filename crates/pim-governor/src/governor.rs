@@ -261,11 +261,6 @@ impl Governor {
         &self.cluster
     }
 
-    /// Registered tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// The tier `tenant` is currently served at.
     ///
     /// # Errors

@@ -64,6 +64,8 @@
 //! # Ok::<(), pim_governor::GovernorError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod governor;
 pub mod ladder;

@@ -40,6 +40,8 @@
 //! See `examples/continual.rs` for the full loop against a live runtime
 //! and `examples/telemetry.rs` for the instrumented one.
 
+#![forbid(unsafe_code)]
+
 mod engine;
 mod error;
 mod learner;

@@ -4,7 +4,6 @@ use pim_core::experiments::{live_fig8, Fig8};
 use pim_device::{edp, Energy, Latency};
 use pim_pe::PeStats;
 use pim_runtime::metrics::{latency_histogram, LatencySummary};
-use pim_runtime::RuntimeStats;
 use pim_telemetry::Histogram;
 use std::fmt;
 
@@ -20,8 +19,9 @@ pub struct LearnStats {
     publishes: u64,
     /// Summed PE ledger deltas of every differential SRAM write-back.
     sram: PeStats,
-    /// Bits written into the MRAM backbone. Stays zero under the hybrid
-    /// contract; tracked so the invariant is observable, not assumed.
+    /// Bits written into the MRAM backbone. Always zero: the hybrid
+    /// engine has no path that writes the backbone, and the report carries
+    /// the figure so the contract shows in it.
     mram_write_bits: u64,
     /// Simulated latency of each write-back (ns), bucketed.
     publish_latency_ns: Histogram,
@@ -58,14 +58,6 @@ impl LearnStats {
         self.publishes += 1;
         self.sram += *delta;
         self.publish_latency_ns.observe(delta.busy_time.as_ns());
-    }
-
-    /// Folds a (policy-authorized) backbone write in. The hybrid engine
-    /// never calls this; it exists so the invariant "MRAM counter is
-    /// zero" is a measurement, and so finetune-all baselines can reuse
-    /// the ledger.
-    pub fn record_mram_write(&mut self, bits: u64) {
-        self.mram_write_bits += bits;
     }
 
     /// SRAM adaptor cell-writes spent so far (the budget meter).
@@ -180,12 +172,6 @@ impl LearnReport {
             return None;
         }
         Some(live_fig8(label, hybrid, finetune_all_edp))
-    }
-
-    /// Renders the learning and serving ledgers side by side (the
-    /// "shared stats" view of a live continual-learning deployment).
-    pub fn with_serving(&self, serving: &RuntimeStats) -> String {
-        format!("learn: {self}\nserve: {serving}")
     }
 }
 

@@ -114,16 +114,6 @@ impl Tensor {
         self.data[self.flat_index(idx)]
     }
 
-    /// Mutable value at a multi-index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index rank or any coordinate is out of bounds.
-    pub fn at_mut(&mut self, idx: &[usize]) -> &mut f32 {
-        let i = self.flat_index(idx);
-        &mut self.data[i]
-    }
-
     fn flat_index(&self, idx: &[usize]) -> usize {
         assert_eq!(
             idx.len(),

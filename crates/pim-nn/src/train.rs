@@ -100,12 +100,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Updates the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Applies one update to every non-frozen parameter:
     /// `v ← µv + (g + λw)`, `w ← w − η·v` (paper eq. 3 with momentum).
     pub fn step(&mut self, model: &mut (impl Model + ?Sized)) {

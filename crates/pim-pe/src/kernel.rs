@@ -1,4 +1,4 @@
-//! The flat compiled execution kernel shared by the sparse PEs.
+//! The compiled execution kernel shared by the sparse PEs.
 //!
 //! Both PE simulators used to *walk their hardware structures* to compute a
 //! matvec — the SRAM PE swept `weight_bits × segments × slots` with a
@@ -22,19 +22,8 @@
 //! Accumulation is exact: each `i8×i8` product and the running sum are
 //! carried in `i64`, then truncated to `i32` exactly as the step-wise
 //! simulators did, so outputs are bit-identical on every input including
-//! `i8::MIN`/`i8::MAX` extremes.
-//!
-//! [`PackedKernel`] is the second compiled form, mirroring the paper's
-//! actual datapath: weights are decomposed into per-bit u64 planes and the
-//! dot product becomes popcount-accumulate over plane pairs. Each AND +
-//! popcount covers 64 reduction rows at once, and per-column live-plane
-//! masks skip planes with no set bits, so the packed path wins exactly
-//! where the hardware does — dense tiles with few live weight bit-planes
-//! (low-precision / ternary weights). Selection is per tile, at
-//! load/recompile time, by comparing op counts against the flat gather
-//! ([`PackedKernel::pack_if_profitable`]); the flat scalar path stays the
-//! fallback. Both paths carry exact `i64` sums of the same integer value,
-//! so outputs are bit-identical.
+//! `i8::MIN`/`i8::MAX` extremes. It is the only compiled form in either PE;
+//! the PE tests pin it against `bit_serial_matvec`.
 
 /// A weight tile compiled to flat occupied-only CSR-style arrays.
 ///
@@ -120,7 +109,7 @@ impl FlatKernel {
     }
 
     /// Single-pass gather-multiply-accumulate: `y[c] = Σ val·x[row_idx]`,
-    /// bit-identical to the step-wise bit-serial / row-stream walk.
+    /// bit-identical to `bit_serial_matvec` over the same masked tile.
     ///
     /// # Panics
     ///
@@ -185,271 +174,6 @@ impl FlatKernel {
     }
 }
 
-/// `2^q` for activation bit `q`, with the sign plane (`q = 7`) weighted
-/// `-2^7` — the two's-complement recombination used by the bit-serial
-/// oracle.
-const ACT_COEF: [i64; 8] = [1, 2, 4, 8, 16, 32, 64, -128];
-
-/// Largest reduction length served by the stack-resident activation-plane
-/// scratch (`16` u64 words × 64 rows); longer tiles fall back to a heap
-/// buffer.
-const STACK_WORDS: usize = 16;
-
-/// A weight tile compiled to per-bit u64 planes for popcount-accumulate
-/// matvecs.
-///
-/// Weights are stored **signed-magnitude**: for magnitude bit `p`, plane
-/// `pos[p]` has a 1 in every reduction row holding a positive weight with
-/// that bit set, `neg[p]` likewise for negative weights. (Two's-complement
-/// packing would light every high plane for small negatives like `-1 =
-/// 0xFF`; signed-magnitude keeps the live-plane count proportional to the
-/// true weight precision.) Activations are packed per call into 8
-/// two's-complement bit planes, and
-///
-/// ```text
-/// y[c] = Σ_p 2^p · Σ_q coef_q · ( popcount(pos[c][p] & X[q])
-///                               - popcount(neg[c][p] & X[q]) )
-/// ```
-///
-/// with `coef_q = 2^q` (and `-2^7` for the activation sign plane). Every
-/// term is exact in `i64`, and the total is the same integer as the flat
-/// gather's `Σ v·x`, so the final `as i32` truncation is bit-identical.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PackedKernel {
-    /// Logical reduction length (expected input length).
-    rows: usize,
-    /// Logical output columns.
-    cols: usize,
-    /// u64 words per plane: `rows.div_ceil(64)`.
-    words: usize,
-    /// Positive-weight magnitude planes, `[col][bit][word]` contiguous.
-    pos: Vec<u64>,
-    /// Negative-weight magnitude planes, same layout.
-    neg: Vec<u64>,
-    /// Per-column bitmask of live (non-empty) positive planes.
-    pos_live: Vec<u8>,
-    /// Per-column bitmask of live negative planes.
-    neg_live: Vec<u8>,
-}
-
-impl PackedKernel {
-    /// Packs `flat` into bit planes unconditionally (tests and
-    /// [`Self::pack_if_profitable`] use this).
-    pub fn pack(flat: &FlatKernel) -> Self {
-        let (rows, cols) = (flat.rows, flat.cols);
-        let words = rows.div_ceil(64).max(1);
-        let mut packed = Self {
-            rows,
-            cols,
-            words,
-            pos: vec![0u64; cols * 8 * words],
-            neg: vec![0u64; cols * 8 * words],
-            pos_live: vec![0u8; cols],
-            neg_live: vec![0u8; cols],
-        };
-        for c in 0..cols {
-            let (s, e) = (flat.col_ptr[c] as usize, flat.col_ptr[c + 1] as usize);
-            let base = c * 8 * words;
-            for (&r, &v) in flat.row_idx[s..e].iter().zip(&flat.val[s..e]) {
-                if v == 0 {
-                    continue;
-                }
-                // i8::MIN's magnitude (128) still fits the 8 planes: bit 7.
-                let mag = (v as i16).unsigned_abs() as u8;
-                let (planes, live) = if v > 0 {
-                    (&mut packed.pos, &mut packed.pos_live)
-                } else {
-                    (&mut packed.neg, &mut packed.neg_live)
-                };
-                let (word, bit) = (r as usize / 64, r as usize % 64);
-                let mut m = mag;
-                while m != 0 {
-                    let p = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    planes[base + p * words + word] |= 1u64 << bit;
-                }
-                live[c] |= mag;
-            }
-        }
-        packed
-    }
-
-    /// Packs `flat` only where the popcount path is clearly ahead: the
-    /// plane-skipped word-op count must be at most **half** the flat
-    /// gather's entry count (an AND+popcount word-op costs about as much
-    /// as a gather-MAC, and the flat path amortizes its entry stream over
-    /// register-blocked batches, so a 2× op advantage is the break-even
-    /// margin with headroom). Sparse or full-precision tiles fail the test
-    /// and keep the flat path; dense low-bit tiles pass.
-    pub fn pack_if_profitable(flat: &FlatKernel) -> Option<Self> {
-        if flat.rows < 64 || flat.cols == 0 || flat.nnz() == 0 {
-            return None;
-        }
-        let packed = Self::pack(flat);
-        if packed.word_ops() * 2 <= flat.nnz() as u64 {
-            Some(packed)
-        } else {
-            None
-        }
-    }
-
-    /// Worst-case AND+popcount word-ops per matvec: live weight planes ×
-    /// 8 activation planes × words, summed over columns.
-    pub fn word_ops(&self) -> u64 {
-        let live: u64 = (0..self.cols)
-            .map(|c| (self.pos_live[c].count_ones() + self.neg_live[c].count_ones()) as u64)
-            .sum();
-        live * 8 * self.words as u64
-    }
-
-    /// Popcount-accumulate matvec, bit-identical to
-    /// [`FlatKernel::matvec_into`] on the same tile.
-    pub fn matvec_into(&self, x: &[i8], y: &mut [i32]) {
-        debug_assert_eq!(x.len(), self.rows);
-        debug_assert_eq!(y.len(), self.cols);
-        let mut stack = [0u64; 8 * STACK_WORDS];
-        let mut heap: Vec<u64>;
-        let planes: &mut [u64] = if self.words <= STACK_WORDS {
-            &mut stack[..8 * self.words]
-        } else {
-            heap = vec![0u64; 8 * self.words];
-            &mut heap
-        };
-        let x_live = pack_activations(x, self.words, planes);
-        self.columns_into(planes, x_live, y);
-    }
-
-    /// Batched matvec over `batch` row-major inputs; identical layout and
-    /// results as [`FlatKernel::matmul_into`].
-    pub fn matmul_into(&self, xs: &[i8], batch: usize, y: &mut [i32]) {
-        debug_assert_eq!(xs.len(), batch * self.rows);
-        debug_assert_eq!(y.len(), batch * self.cols);
-        let mut stack = [0u64; 8 * STACK_WORDS];
-        let mut heap: Vec<u64>;
-        let planes: &mut [u64] = if self.words <= STACK_WORDS {
-            &mut stack[..8 * self.words]
-        } else {
-            heap = vec![0u64; 8 * self.words];
-            &mut heap
-        };
-        for b in 0..batch {
-            let x = &xs[b * self.rows..(b + 1) * self.rows];
-            let x_live = pack_activations(x, self.words, planes);
-            self.columns_into(planes, x_live, &mut y[b * self.cols..(b + 1) * self.cols]);
-        }
-    }
-
-    /// One packed input against every column.
-    fn columns_into(&self, x_planes: &[u64], x_live: u8, y: &mut [i32]) {
-        let words = self.words;
-        for (c, out) in y.iter_mut().enumerate() {
-            let base = c * 8 * words;
-            let mut acc = 0i64;
-            acc += planes_dot(
-                &self.pos[base..base + 8 * words],
-                self.pos_live[c],
-                x_planes,
-                x_live,
-                words,
-            );
-            acc -= planes_dot(
-                &self.neg[base..base + 8 * words],
-                self.neg_live[c],
-                x_planes,
-                x_live,
-                words,
-            );
-            *out = acc as i32;
-        }
-    }
-}
-
-/// Packs `x` into 8 two's-complement bit planes (`planes` is
-/// `8 × words`, zeroed here) and returns the live-plane bitmask.
-///
-/// Eight activations at a time are gathered into one little-endian u64
-/// and each plane live *in that chunk* is extracted with the byte-LSB
-/// multiply gather (the partial products of `GATHER` land on pairwise
-/// distinct bit positions, so the top byte is carry-free and exact).
-/// Cost therefore scales with the live activation planes — for low-bit
-/// activations the transposition is a handful of ops per 8 inputs —
-/// instead of with every set bit of every activation.
-fn pack_activations(x: &[i8], words: usize, planes: &mut [u64]) -> u8 {
-    const LSB: u64 = 0x0101_0101_0101_0101;
-    const GATHER: u64 = 0x0102_0408_1020_4080;
-    planes.fill(0);
-    let mut live_bytes = 0u64;
-    for (g, chunk) in x.chunks_exact(8).enumerate() {
-        let bytes: [i8; 8] = chunk.try_into().expect("chunks_exact yields 8");
-        let c = u64::from_le_bytes(bytes.map(|v| v as u8));
-        if c == 0 {
-            continue;
-        }
-        live_bytes |= c;
-        let (word, shift) = (g / 8, 8 * (g % 8));
-        let mut m = fold_bytes(c);
-        while m != 0 {
-            let q = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let byte = ((c >> q) & LSB).wrapping_mul(GATHER) >> 56;
-            planes[q * words + word] |= byte << shift;
-        }
-    }
-    // Sub-chunk tail rows (rows % 8), one bit at a time.
-    let tail_start = x.len() & !7;
-    for (i, &v) in x[tail_start..].iter().enumerate() {
-        let bits = v as u8;
-        if bits == 0 {
-            continue;
-        }
-        live_bytes |= bits as u64;
-        let r = tail_start + i;
-        let (word, bit) = (r / 64, r % 64);
-        let mut m = bits;
-        while m != 0 {
-            let q = m.trailing_zeros() as usize;
-            m &= m - 1;
-            planes[q * words + word] |= 1u64 << bit;
-        }
-    }
-    fold_bytes(live_bytes)
-}
-
-/// ORs the eight bytes of `c` into one — the plane-liveness mask of a
-/// packed 8-activation chunk.
-fn fold_bytes(c: u64) -> u8 {
-    let c = c | (c >> 32);
-    let c = c | (c >> 16);
-    (c | (c >> 8)) as u8
-}
-
-/// `Σ_p 2^p · Σ_q coef_q · popcount(w[p] & x[q])` over the live planes of
-/// one signed-magnitude weight half.
-#[inline(always)]
-fn planes_dot(w_planes: &[u64], w_live: u8, x_planes: &[u64], x_live: u8, words: usize) -> i64 {
-    let mut acc = 0i64;
-    let mut wl = w_live;
-    while wl != 0 {
-        let p = wl.trailing_zeros() as usize;
-        wl &= wl - 1;
-        let w_row = &w_planes[p * words..(p + 1) * words];
-        let mut plane_acc = 0i64;
-        let mut xl = x_live;
-        while xl != 0 {
-            let q = xl.trailing_zeros() as usize;
-            xl &= xl - 1;
-            let x_row = &x_planes[q * words..(q + 1) * words];
-            let mut pc = 0u32;
-            for (&w, &x) in w_row.iter().zip(x_row) {
-                pc += (w & x).count_ones();
-            }
-            plane_acc += ACT_COEF[q] * pc as i64;
-        }
-        acc += (1i64 << p) * plane_acc;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,89 +225,6 @@ mod tests {
         k.matvec_into(&xs[3..], &mut b);
         assert_eq!(&batched[..2], &a);
         assert_eq!(&batched[2..], &b);
-    }
-
-    /// Deterministic pseudo-random i8 stream shared by the packed tests.
-    fn noise(i: usize, seed: usize) -> i8 {
-        (((i * 73 + seed * 131 + 37) % 255) as i32 - 127) as i8
-    }
-
-    #[test]
-    fn packed_matches_flat_on_extremes_and_word_boundaries() {
-        // 130 rows crosses the 64-bit word boundary twice (words = 3 with
-        // a partial tail); entries include i8::MIN (magnitude bit 7),
-        // i8::MAX, ±1, and an explicit zero weight plus an empty column.
-        let entries = [
-            (0usize, 0usize, i8::MIN),
-            (0, 63, i8::MAX),
-            (0, 64, -1i8),
-            (0, 129, 1),
-            (2, 5, 0),
-            (2, 77, -77),
-        ];
-        let flat = FlatKernel::compile(130, 3, entries.into_iter());
-        let packed = PackedKernel::pack(&flat);
-        for seed in 0..4 {
-            let x: Vec<i8> = (0..130).map(|i| noise(i, seed)).collect();
-            let mut y_flat = [0i32; 3];
-            let mut y_packed = [99i32; 3];
-            flat.matvec_into(&x, &mut y_flat);
-            packed.matvec_into(&x, &mut y_packed);
-            assert_eq!(y_packed, y_flat, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn packed_batched_matches_flat_batched() {
-        let rows = 96;
-        let entries: Vec<(usize, usize, i8)> = (0..rows * 4)
-            .filter(|i| i % 3 != 0)
-            .map(|i| (i % 4, i / 4, noise(i, 9)))
-            .collect();
-        let mut sorted = entries;
-        sorted.sort_by_key(|&(c, r, _)| (c, r));
-        let flat = FlatKernel::compile(rows, 4, sorted.into_iter());
-        let packed = PackedKernel::pack(&flat);
-        for batch in [1usize, 2, 5, 8] {
-            let xs: Vec<i8> = (0..batch * rows).map(|i| noise(i, batch)).collect();
-            let mut y_flat = vec![0i32; batch * 4];
-            let mut y_packed = vec![0i32; batch * 4];
-            flat.matmul_into(&xs, batch, &mut y_flat);
-            packed.matmul_into(&xs, batch, &mut y_packed);
-            assert_eq!(y_packed, y_flat, "batch {batch}");
-        }
-    }
-
-    #[test]
-    fn profitability_selects_dense_ternary_and_rejects_sparse_full_precision() {
-        // Dense ternary 512×8: one live plane per weight sign → the
-        // popcount path has a big op advantage and is selected.
-        let ternary = FlatKernel::compile(
-            512,
-            8,
-            (0..8usize).flat_map(|c| {
-                (0..512usize).map(move |r| (c, r, if (r + c) % 2 == 0 { 1i8 } else { -1 }))
-            }),
-        );
-        assert!(PackedKernel::pack_if_profitable(&ternary).is_some());
-
-        // 1:4-sparse full-precision 128×8 (the repnet shape): the flat
-        // gather streams 4× fewer entries than the packed word-ops, so
-        // the flat path is kept.
-        let sparse = FlatKernel::compile(
-            128,
-            8,
-            (0..8usize).flat_map(|c| {
-                (0..128usize)
-                    .step_by(4)
-                    .map(move |r| (c, r, noise(r + c, 3)))
-            }),
-        );
-        assert!(PackedKernel::pack_if_profitable(&sparse).is_none());
-
-        // Short tiles (< one u64 word) never pack.
-        let short = FlatKernel::compile(32, 2, (0..32usize).map(|r| (0usize, r, 1i8)));
-        assert!(PackedKernel::pack_if_profitable(&short).is_none());
     }
 
     #[test]

@@ -38,6 +38,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod error;
 mod kernel;
 mod mram;

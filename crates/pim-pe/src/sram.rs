@@ -39,7 +39,7 @@
 //! here).
 
 use crate::error::PeError;
-use crate::kernel::{FlatKernel, PackedKernel};
+use crate::kernel::FlatKernel;
 use crate::stats::{LoadReport, MatvecCost, MatvecReport, PeStats};
 use crate::SparsePe;
 use pim_device::components::SramPeComponents;
@@ -187,12 +187,6 @@ pub struct SramSparsePe {
     /// Flat occupied-only execution kernel, compiled at load/update time
     /// from `segments`; empty until a tile is resident.
     kernel: FlatKernel,
-    /// Bit-plane popcount kernel, built at load/update time when the
-    /// resident tile is dense/low-bit enough to beat the flat gather
-    /// (see [`PackedKernel::pack_if_profitable`]); `None` keeps the flat
-    /// path. Both compute the same exact integer sums, so which one runs
-    /// never changes an output bit.
-    packed: Option<PackedKernel>,
     /// Analytic per-matvec cost of the resident tile, precomputed at
     /// load/update time (the cycle/energy model is data-independent).
     cost: MatvecCost,
@@ -228,7 +222,6 @@ impl SramSparsePe {
             segments: Vec::new(),
             tile: None,
             kernel: FlatKernel::default(),
-            packed: None,
             cost: MatvecCost::default(),
             stats: PeStats::new(),
         }
@@ -452,33 +445,8 @@ impl SramSparsePe {
             batch * tile.cols,
             "output buffer does not match batch × column count"
         );
-        match &self.packed {
-            Some(p) => p.matmul_into(xs, batch, y),
-            None => self.kernel.matmul_into(xs, batch, y),
-        }
+        self.kernel.matmul_into(xs, batch, y);
         Ok(())
-    }
-
-    /// Which compiled kernel serves the resident tile: `"packed"` when the
-    /// bit-plane popcount path was selected at load time, `"flat"`
-    /// otherwise. Diagnostic/bench hook — both backends are bit-identical.
-    pub fn kernel_backend(&self) -> &'static str {
-        if self.packed.is_some() {
-            "packed"
-        } else {
-            "flat"
-        }
-    }
-
-    /// Bench/test hook: re-runs packed-kernel selection (`true`) or forces
-    /// the flat gather path (`false`). Outputs are bit-identical either
-    /// way; only throughput changes.
-    pub fn set_packed_enabled(&mut self, enabled: bool) {
-        self.packed = if enabled && self.tile.is_some() {
-            PackedKernel::pack_if_profitable(&self.kernel)
-        } else {
-            None
-        };
     }
 
     /// The analytic per-matvec cost of the resident tile, precomputed at
@@ -513,9 +481,6 @@ impl SramSparsePe {
         );
         debug_assert_eq!(self.kernel.cols(), tile.cols);
         debug_assert_eq!(self.kernel.nnz() as u64, tile.occupied_slots);
-        // Per-tile kernel selection: dense/low-bit tiles get the bit-plane
-        // popcount path, everything else keeps the flat gather.
-        self.packed = PackedKernel::pack_if_profitable(&self.kernel);
         self.cost = self.config.matvec_cost(tile.m, tile.rows);
     }
 }
@@ -594,12 +559,8 @@ impl SparsePe for SramSparsePe {
         );
         let occupied = tile.occupied_slots;
         // Compiled execution kernel: exact bit-serial arithmetic as a
-        // single-pass gather, or bit-plane popcount where that was
-        // selected at load time (see `kernel.rs` for both equivalences).
-        match &self.packed {
-            Some(p) => p.matvec_into(x, y),
-            None => self.kernel.matvec_into(x, y),
-        }
+        // single-pass gather (see `kernel.rs` for the equivalence).
+        self.kernel.matvec_into(x, y);
         // Analytic accounting model, precomputed at load time.
         let cost = self.cost;
         self.stats.record_matvec_cost(&cost, occupied);
@@ -911,54 +872,27 @@ mod tests {
         }
     }
 
-    /// The pre-decoupling step-wise simulation, kept verbatim as the
-    /// oracle for the compiled kernel: walk `weight_bits × segments ×
-    /// slots` with the occupancy branch, exactly as `matvec` used to.
-    fn step_wise_walk(pe: &SramSparsePe, x: &[i8]) -> Vec<i32> {
-        let tile = pe.tile.as_ref().expect("loaded");
-        let m = tile.m;
-        let mut acc = vec![0i64; tile.cols];
-        for bit in 0..pe.config.weight_bits {
-            for segment in &pe.segments {
-                let mut tree = 0i64;
-                for &(group, slot) in &segment.slots {
-                    if !slot.occupied {
-                        continue;
-                    }
-                    let logical_row = group * m + slot.offset as usize;
-                    let xv = x[logical_row] as u8;
-                    if (xv >> bit) & 1 == 1 {
-                        tree += slot.value as i64;
-                    }
-                }
-                let weighted = tree << bit;
-                if bit == pe.config.weight_bits - 1 {
-                    acc[segment.logical_col] -= weighted; // sign plane
-                } else {
-                    acc[segment.logical_col] += weighted;
-                }
-            }
-        }
-        acc.into_iter().map(|v| v as i32).collect()
-    }
-
     proptest! {
-        // Tentpole equivalence pin: on random tiles — 1:4 and 1:8, with
+        // Equivalence pin: on random tiles — 1:4, 2:4 and 1:8, with
         // reduction lengths that leave partial tail groups (unoccupied
-        // slots) and activations spanning the full i8 range including
-        // MIN/MAX — the compiled kernel is bit-identical to BOTH retained
-        // oracles: the step-wise hardware walk and pim_sparse's
-        // bit-serial reference.
+        // slots), an all-zero column, batch sizes covering the 4-wide
+        // register-blocked pass and its remainder, and activations spanning
+        // the full i8 range including MIN/MAX — the compiled kernel is
+        // bit-identical to pim_sparse's bit-serial reference, one matvec at
+        // a time and batched.
         #[test]
-        fn flat_kernel_matches_step_wise_and_bit_serial_oracles(
+        fn flat_kernel_matches_the_bit_serial_oracle(
             (rows, pattern) in prop_oneof![
                 Just((64usize, NmPattern::one_of_four())),
                 Just((61usize, NmPattern::one_of_four())), // partial tail group
                 Just((64usize, NmPattern::one_of_eight())),
                 Just((52usize, NmPattern::one_of_eight())), // partial tail group
+                Just((100usize, NmPattern::two_of_four())), // denser occupancy
+                Just((128usize, NmPattern::one_of_eight())),
             ],
+            batch in 1usize..=8,
             seed in 0usize..256,
-            raw_x in proptest::collection::vec(any::<i8>(), 64),
+            raw_x in proptest::collection::vec(any::<i8>(), 8 * 128),
         ) {
             let dense = Matrix::from_fn(rows, 4, |r, c| {
                 if c == 3 {
@@ -975,58 +909,15 @@ mod tests {
             let csc = CscMatrix::compress(&dense, &mask).expect("shapes match");
             let mut pe = SramSparsePe::new();
             pe.load(&csc).unwrap();
-            let x = &raw_x[..rows];
-            let report = pe.matvec(x).unwrap();
-            prop_assert_eq!(&report.outputs, &step_wise_walk(&pe, x));
-            let masked = masked_dense(&dense, &mask).unwrap();
-            prop_assert_eq!(
-                &report.outputs,
-                &pim_sparse::gemm::bit_serial_matvec(&masked, x).unwrap()
-            );
-        }
-
-        // Equivalence pin #2: the packed bit-plane kernel is bit-identical
-        // to the flat gather and the bit-serial oracle over random tiles,
-        // occupancies (1:4, 2:4, 1:8), and batch sizes. Packing is forced
-        // (not gated on profitability), so the pin also covers tiles the
-        // selection heuristic would leave on the flat path.
-        #[test]
-        fn packed_kernel_matches_flat_and_bit_serial_oracles(
-            (rows, pattern) in prop_oneof![
-                Just((61usize, NmPattern::one_of_four())),  // partial tail group, < 1 word
-                Just((64usize, NmPattern::one_of_four())),  // exactly one u64 word
-                Just((100usize, NmPattern::two_of_four())), // denser occupancy, 2 words
-                Just((128usize, NmPattern::one_of_eight())),
-            ],
-            batch in 1usize..=8,
-            seed in 0usize..128,
-            raw_x in proptest::collection::vec(any::<i8>(), 8 * 128),
-        ) {
-            let dense = Matrix::from_fn(rows, 4, |r, c| {
-                match (r * 37 + c * 19 + seed * 13) % 101 {
-                    0 => i8::MIN,
-                    1 => i8::MAX,
-                    k => (k as i32 - 50) as i8,
-                }
-            });
-            let mask = prune_magnitude(&dense, pattern).expect("non-empty");
-            let csc = CscMatrix::compress(&dense, &mask).expect("shapes match");
-            let mut pe = SramSparsePe::new();
-            pe.load(&csc).unwrap();
-            let packed = PackedKernel::pack(&pe.kernel);
             let xs = &raw_x[..batch * rows];
-            let mut y_flat = vec![0i32; batch * 4];
-            let mut y_packed = vec![0i32; batch * 4];
-            pe.kernel.matmul_into(xs, batch, &mut y_flat);
-            packed.matmul_into(xs, batch, &mut y_packed);
-            prop_assert_eq!(&y_packed, &y_flat);
+            let mut y = vec![0i32; batch * 4];
+            pe.matvec_batch(xs, batch, &mut y).unwrap();
             let masked = masked_dense(&dense, &mask).unwrap();
             for b in 0..batch {
                 let x = &xs[b * rows..(b + 1) * rows];
-                prop_assert_eq!(
-                    &y_packed[b * 4..(b + 1) * 4],
-                    &pim_sparse::gemm::bit_serial_matvec(&masked, x).unwrap()[..]
-                );
+                let oracle = pim_sparse::gemm::bit_serial_matvec(&masked, x).unwrap();
+                prop_assert_eq!(&pe.matvec(x).unwrap().outputs, &oracle);
+                prop_assert_eq!(&y[b * 4..(b + 1) * 4], &oracle[..]);
             }
         }
     }

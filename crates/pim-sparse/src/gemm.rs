@@ -43,29 +43,6 @@ pub fn dense_matvec(weights: &Matrix<i8>, x: &[i32]) -> Result<Vec<i32>, Dimensi
     Ok(y)
 }
 
-/// Dense reference matmul: `(K×C)ᵀ · (K×B) = (C×B)` with `i32` accumulation.
-///
-/// # Errors
-///
-/// Returns [`DimensionError`] if the reduction dimensions disagree.
-pub fn dense_matmul(weights: &Matrix<i8>, x: &Matrix<i32>) -> Result<Matrix<i32>, DimensionError> {
-    if x.rows() != weights.rows() {
-        return Err(DimensionError {
-            expected: weights.rows(),
-            actual: x.rows(),
-        });
-    }
-    let mut out = Matrix::zeros(weights.cols(), x.cols());
-    for b in 0..x.cols() {
-        let xb = x.col(b);
-        let y = dense_matvec(weights, &xb)?;
-        for c in 0..weights.cols() {
-            out[(c, b)] = y[c];
-        }
-    }
-    Ok(out)
-}
-
 /// Applies a mask to a dense matrix (zeroing pruned entries); convenience
 /// re-export of [`NmMask::apply`] for the common test pattern
 /// `dense_matvec(&masked_dense(..)?, ..)`.
@@ -219,16 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_matmul_matches_matvec_per_column() {
-        let w = Matrix::from_fn(6, 4, |r, c| ((r * 5 + c * 3) % 17) as i8 - 8);
-        let x = Matrix::from_fn(6, 3, |r, c| (r as i32 - c as i32) * 7);
-        let out = dense_matmul(&w, &x).unwrap();
-        for b in 0..3 {
-            assert_eq!(out.col(b), dense_matvec(&w, &x.col(b)).unwrap());
-        }
-    }
-
-    #[test]
     fn bit_serial_equals_dense_on_extremes() {
         let w = Matrix::from_rows(vec![vec![i8::MIN, i8::MAX], vec![-1, 1], vec![0, -77]]).unwrap();
         for x in [
@@ -286,8 +253,6 @@ mod tests {
         assert!(bit_serial_matvec(&w, &[1, 2]).is_err());
         let wf: Matrix<f32> = Matrix::zeros(4, 2);
         assert!(dense_matvec_f32(&wf, &[1.0]).is_err());
-        let x: Matrix<i32> = Matrix::zeros(3, 1);
-        assert!(dense_matmul(&w, &x).is_err());
     }
 
     #[test]

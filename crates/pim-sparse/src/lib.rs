@@ -50,6 +50,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod csc;
 pub mod csr;
 pub mod gemm;

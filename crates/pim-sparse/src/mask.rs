@@ -80,11 +80,6 @@ impl NmMask {
         self.pattern
     }
 
-    /// The underlying boolean matrix.
-    pub fn as_matrix(&self) -> &Matrix<bool> {
-        &self.keep
-    }
-
     /// `(rows, cols)` of the mask.
     pub fn shape(&self) -> (usize, usize) {
         self.keep.shape()

@@ -43,6 +43,8 @@
 //! assert_eq!(telemetry.tracer.snapshot().len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod trace;
 
